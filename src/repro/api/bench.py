@@ -22,8 +22,10 @@ only the wall-clock ratio is machine-dependent.
 
 from __future__ import annotations
 
+import gc
+import statistics
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.api.session import RunResult, Session
 from repro.api.spec import ScenarioSpec, ServingSpec, TrafficSpec
@@ -77,13 +79,31 @@ def serving_bench_spec(num_requests: int = 1024,
     )
 
 
+def timed_call(fn: Callable[[], Any]) -> Tuple[Any, float]:
+    """``(fn(), wall seconds)``, timed the way :mod:`timeit` times.
+
+    The heap is collected first and the cyclic collector paused for the
+    call, so a collection owed to garbage from earlier work (a test
+    suite, a previous repeat) cannot land inside the measurement and
+    skew a wall-clock ratio.
+    """
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        result = fn()
+        return result, time.perf_counter() - start
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _run_mode(num_requests: int, grouping: str,
               max_iterations: int) -> tuple:
     session = Session(serving_bench_spec(num_requests, grouping,
                                          max_iterations))
-    start = time.perf_counter()
-    result = session.run()
-    return result, time.perf_counter() - start
+    return timed_call(session.run)
 
 
 def run_serving_bench(num_requests: int = 1024,
@@ -91,29 +111,33 @@ def run_serving_bench(num_requests: int = 1024,
                       max_iterations: int = 1_000_000) -> Dict[str, Any]:
     """Run the benchmark; raises ``RuntimeError`` if records diverge.
 
-    Both sides take best-of runs (the grouped side ``repeats``, the
-    per-request side two) — single wall-clock samples on shared runners
-    are noise-prone and the speedup ratio below is gated in CI.
+    The speedup ratio below is gated in CI, and single wall-clock
+    samples on shared runners are noise-prone, so the two modes run in
+    ``max(2, repeats)`` interleaved rounds (one per-request run, then
+    one grouped run) and ``speedup`` is the median over rounds of the
+    per-round ratio: a shared machine drifts between speeds for seconds
+    at a time, which the two runs of a round share and the ratio
+    cancels.  The wall times reported are best-of.
     """
     baseline_result: Optional[RunResult] = None
-    off_seconds = float("inf")
-    for _ in range(2):
-        baseline_result, seconds = _run_mode(num_requests, "off",
-                                             max_iterations)
-        off_seconds = min(off_seconds, seconds)
     grouped_result: Optional[RunResult] = None
-    auto_seconds = float("inf")
-    for _ in range(max(1, repeats)):
-        candidate, seconds = _run_mode(num_requests, "auto", max_iterations)
-        auto_seconds = min(auto_seconds, seconds)
-        grouped_result = candidate
+    off_seconds = auto_seconds = float("inf")
+    ratios: List[float] = []
+    for _ in range(max(2, repeats)):
+        baseline_result, off = _run_mode(num_requests, "off",
+                                         max_iterations)
+        grouped_result, auto = _run_mode(num_requests, "auto",
+                                         max_iterations)
+        ratios.append(off / max(auto, 1e-9))
+        off_seconds = min(off_seconds, off)
+        auto_seconds = min(auto_seconds, auto)
     if grouped_result.to_dict() != baseline_result.to_dict():
         raise RuntimeError(
             "grouped serving run diverged from the per-request run "
             "(records or aggregates are not bit-identical)")
     iterations = baseline_result.iterations
     tokens = baseline_result.total_tokens
-    speedup = off_seconds / max(auto_seconds, 1e-9)
+    speedup = statistics.median(ratios)
     return {
         "bench": "grouped_serving",
         "requests": num_requests,

@@ -431,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument("--requests", type=int, default=1024,
                               help="decode batch size (default 1024)")
     bench_parser.add_argument("--repeats", type=int, default=3,
-                              help="best-of repeats for the grouped side")
+                              help="interleaved rounds of both modes (the "
+                                   "speedup is their median ratio)")
     bench_parser.add_argument("--baseline", metavar="FILE", default=None,
                               help="committed baseline payload to compare "
                                    "against (non-zero exit on regression)")

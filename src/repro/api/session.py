@@ -48,8 +48,7 @@ from repro.core.system import NeuPimsSystem, ParallelismScheme
 from repro.exec.backends import ParallelSpec
 from repro.exec.runner import ParallelRunner
 from repro.exec.warmup import PerfCacheWarmup, WarmupChain
-from repro.faults.resilience import (ResiliencePolicy, ResilienceRuntime,
-                                     resilient_executor)
+from repro.faults.resilience import ResiliencePolicy, ResilienceRuntime
 from repro.model.spec import ModelSpec
 from repro.registry import REGISTRY, Workload
 from repro.serving.events import (CountersSampled, IterationCompleted,
@@ -59,7 +58,8 @@ from repro.serving.latency import LatencyTracker
 from repro.serving.pool import RequestPool
 from repro.serving.preemption import PreemptingAllocatorPool
 from repro.serving.request import InferenceRequest
-from repro.serving.scheduler import IterationRecord, IterationScheduler
+from repro.serving.scheduler import (IterationRecord, IterationScheduler,
+                                     LatencyHook)
 from repro.sim.events import EventBus
 
 #: Table-5 per-channel average memory power (mW): the dual-row-buffer PIM
@@ -208,26 +208,14 @@ class Session:
 
     def __init__(self, spec: ScenarioSpec) -> None:
         self.spec = spec
-        #: Optional hook wrapping the serving batch executor *inside*
-        #: the latency-tracker wrap (same composition discipline as
-        #: ``resilient_executor``, so injected cycles move the latency
-        #: clock).  Set before :meth:`materialize`; the fleet router
-        #: uses it to apply node-degrade derates.  While set, the
-        #: grouped fast path stands down (grouped windows bypass the
-        #: executor), keeping the wrapper authoritative per iteration.
-        #:
-        #: Ordering contract: the wrapper composes *outside* any
-        #: resilience wrap and *inside* the latency tracker, i.e.
-        #: ``tracker(wrapper(resilient(inner)))``.  Wrappers that only
-        #: observe (pure latency pass-throughs, such as
-        #: :func:`repro.counters.collect.counting_executor`) must
-        #: commute with latency-scaling wrappers (fleet degrades) on
-        #: every simulated metric — either composition order yields
-        #: bit-identical results, a contract pinned by the
-        #: executor-wrapper regression tests in ``tests/test_counters``.
-        self.executor_wrapper: Optional[
-            Callable[[Callable[[Sequence[InferenceRequest]], float]],
-                     Callable[[Sequence[InferenceRequest]], float]]] = None
+        #: Optional ``(start_time, latency) -> latency`` hook the
+        #: scheduler applies to every serving iteration, after fault
+        #: penalties and before latency tracking (see
+        #: :class:`~repro.serving.scheduler.IterationScheduler`).  Set
+        #: before :meth:`materialize`; the fleet router uses it for
+        #: node-degrade derates.  Grouped windows go through the same
+        #: hook, so setting it keeps the grouped fast path.
+        self.latency_hook: Optional[LatencyHook] = None
         self.model_spec: ModelSpec = spec.resolve_model()
         self.config: NeuPimsConfig = spec.resolve_config()
         self.fidelity: str = spec.resolve_fidelity()
@@ -263,7 +251,7 @@ class Session:
         self._measure_records: List[Dict[str, float]] = []
         self._measure_throughputs: List[float] = []
         self._measure_clock = 0.0
-        # Streaming-run aggregates captured by the executor wrapper.
+        # Streaming-run aggregates captured by the serving executors.
         self._busy: Dict[str, float] = {}
         self._latency_acc = 0.0
         self._external_bytes = 0.0
@@ -382,37 +370,23 @@ class Session:
                 policy, injector=self.fault_injector,
                 preempting=preempting)
         self.latency_tracker = LatencyTracker()
-        inner = self._wrapped_executor()
-        if self.resilience is not None:
-            # Compose inside the tracker wrap so fault penalties and
-            # restore costs move the latency clock like device cycles.
-            inner = resilient_executor(self.resilience, inner)
-        if self.executor_wrapper is not None:
-            if serving.grouping == "on":
-                raise ValueError("executor_wrapper needs per-iteration "
-                                 "executor calls; use grouping='auto' or "
-                                 "'off'")
-            inner = self.executor_wrapper(inner)
-        executor = self.latency_tracker.wrap(inner)
-        if self.executor_wrapper is not None:
-            grouped = None
-        else:
-            grouped = self._grouped_executor(serving.grouping)
         wiring: Dict[str, Any] = {}
+        # Only passed when set so hand-registered schedulers without the
+        # parameters keep working on the default path.
         if self.resilience is not None:
-            # Only passed when active so hand-registered schedulers
-            # without the parameter keep working on the default path.
             wiring["resilience"] = self.resilience
+        if self.latency_hook is not None:
+            wiring["latency_hook"] = self.latency_hook
         self.scheduler = REGISTRY.create(
             "scheduler", self.spec.scheduler,
-            pool=self.pool, executor=executor,
+            pool=self.pool, executor=self._executor(),
             max_batch_size=serving.max_batch_size,
             allocators=self.allocators,
             assign_channels=(self.device.assign_channels
                              if is_neupims else None),
             load_tracker=self.load_tracker,
             grouping=serving.grouping,
-            grouped=grouped,
+            grouped=self._grouped_executor(serving.grouping),
             latency_tracker=self.latency_tracker,
             events=self.events,
             **wiring,
@@ -424,8 +398,8 @@ class Session:
         ``"auto"`` returns ``None`` for systems without class-plan support
         (the scheduler then stays on the per-request path); ``"on"``
         insists and raises instead.  The returned runner feeds the same
-        busy/byte accumulators as the per-request executor wrapper, so
-        aggregates are identical between paths.
+        busy/byte accumulators as :meth:`_executor`, so aggregates are
+        identical between paths.
         """
         if grouping == "off":
             return None
@@ -454,8 +428,8 @@ class Session:
                 "use grouping='auto' or 'off'")
         return None
 
-    def _wrapped_executor(self):
-        """An executor that also aggregates busy/byte accounting."""
+    def _executor(self):
+        """The device executor, also aggregating busy/byte accounting."""
         if self.system is not None:
             system = self.system
 

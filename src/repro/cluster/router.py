@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.session import Session, aggregate_resilience
@@ -147,8 +148,7 @@ class Router:
         workload = REGISTRY.create("traffic", fleet.traffic.kind,
                                    fleet.traffic)
         self.stream = tuple(sorted(
-            workload.arrivals,
-            key=lambda r: (r.arrival_time, r.request_id)))
+            workload.arrivals, key=attrgetter("arrival_time", "request_id")))
         if fleet.fault_seed is not None:
             plan = make_node_fault_plan(fleet.fault_seed, fleet.num_nodes,
                                         **thaw_options(fleet.fault_options))
@@ -160,8 +160,7 @@ class Router:
             spec = node_spec.override(traffic=TrafficSpec(kind="external"))
             session = Session(spec)
             if self.schedule is not None and self.schedule.degrades(index):
-                session.executor_wrapper = self._degrade_wrapper(session,
-                                                                 index)
+                session.latency_hook = self._degrade_hook(index)
             session.materialize()
             self.handles.append(NodeHandle(
                 index=index, session=session,
@@ -172,26 +171,20 @@ class Router:
         self._materialized = True
         return self
 
-    def _degrade_wrapper(self, session: Session, index: int) -> Callable:
-        """An executor wrapper applying the node's degrade derate.
+    def _degrade_hook(self, index: int) -> Callable[[float, float], float]:
+        """The node's latency hook applying its degrade derate.
 
-        Composed *inside* the node's latency-tracker wrap (the
-        ``Session.executor_wrapper`` hook), so the extra cycles move the
-        latency clock exactly like device cycles.  The factor is read
-        lazily at each iteration from the schedule at the node's current
-        clock, so half-open degrade windows start and stop mid-run.
+        The scheduler applies it to every iteration before the latency
+        tracker sees it, so the extra cycles move the latency clock
+        exactly like device cycles.  The factor is read from the
+        schedule at each iteration's start time, so half-open degrade
+        windows start and stop mid-run.
         """
         schedule = self.schedule
 
-        def wrapper(inner: Callable[[Sequence[InferenceRequest]], float]
-                    ) -> Callable[[Sequence[InferenceRequest]], float]:
-            def run(batch: Sequence[InferenceRequest]) -> float:
-                latency = inner(batch)
-                factor = schedule.degrade_factor(session.scheduler.now,
-                                                 index)
-                return latency * factor
-            return run
-        return wrapper
+        def derate(now: float, latency: float) -> float:
+            return latency * schedule.degrade_factor(now, index)
+        return derate
 
     def _on_pressure(self, event: KvPressure) -> None:
         """Record one node KvPressure event for the shed watermark."""
@@ -413,12 +406,16 @@ class Router:
         Channel-load rollups (from the node's ``ChannelLoadTracker``)
         when available, pooled request counts otherwise; nodes inside a
         degrade window are derated by the degrade factor so policies
-        prefer full-speed peers.
+        prefer full-speed peers.  A node inside a grouped window is
+        synchronized first: the window defers its load-tracker updates
+        to the next boundary, and routing on the stale loads would make
+        grouping ``auto`` and ``off`` route differently.
         """
         loads: List[float] = []
         for handle in self.handles:
             session = handle.session
             if session.load_tracker is not None:
+                handle.scheduler.sync_grouped()
                 load = float(sum(session.load_tracker.loads))
             else:
                 pool = session.pool
@@ -503,10 +500,13 @@ class Router:
             # fleet chaos harness pins).  Route the whole stream
             # upfront and let the drain run nodes at full budget; the
             # disabled-cluster path then costs one policy call and one
-            # pool submit per request.
+            # pool submit per request (no node has stepped yet, so
+            # there is no stall flag or next-event hint to refresh).
             healthy = self._healthy()
+            choose = self.policy.choose
+            pools = [handle.pool for handle in self.handles]
             for request in self.stream:
-                self._route(request, request.arrival_time, healthy)
+                pools[choose(request.request_id, healthy, ())].submit(request)
         else:
             last_arrival: Optional[float] = None
             for request in self.stream:
@@ -619,7 +619,7 @@ class Router:
             statuses.append({"request_id": rid, "status": status,
                              "node": -1})
             counts[status] += 1
-        statuses.sort(key=lambda s: s["request_id"])
+        statuses.sort(key=itemgetter("request_id"))
         ledger = {"requests": len(self.stream), **counts,
                   "failed_over": self._failed_over,
                   "router_shed": len(self._outcomes)}
@@ -636,14 +636,17 @@ class Router:
             tracker = handle.session.latency_tracker
             if tracker is None:
                 continue
-            for entry in tracker.report().requests:
-                prior = best.get(entry.request_id) \
-                    if self._failed_over else None
+            entries = tracker.report().requests
+            if not self._failed_over:
+                best.update({entry.request_id: entry for entry in entries})
+                continue
+            for entry in entries:
+                prior = best.get(entry.request_id)
                 if prior is None or \
                         entry.completion_time > prior.completion_time:
                     best[entry.request_id] = entry
         if len(self.handles) == 1 and not self._failed_over and \
-                all(rid in completed for rid in best):
+                completed.issuperset(best):
             # Single node, nothing failed over, no entry filtered:
             # the merged summary is exactly the node's own (its
             # ``latency_ms`` came from the same tracker report).

@@ -8,8 +8,7 @@ emitted by both fidelity tiers over the same taxonomy
 * :mod:`repro.counters.report` — the taxonomy, the frozen
   :class:`CounterReport` rollup and its drift arithmetic;
 * :mod:`repro.counters.collect` — the run-time
-  :class:`CounterCollector` (the ``typed`` registry component) and the
-  :func:`counting_executor` session wrapper;
+  :class:`CounterCollector` (the ``typed`` registry component);
 * :mod:`repro.counters.model` — the analytic-tier
   :class:`DeviceCounterModel` annotating iteration results with their
   predicted counter vectors;
@@ -26,7 +25,7 @@ Discipline matches the faults layer: the default component is ``none``
 and <5% overhead by the perf benchmark suite.
 """
 
-from repro.counters.collect import CounterCollector, counting_executor
+from repro.counters.collect import CounterCollector
 from repro.counters.model import DeviceCounterModel
 from repro.counters.profile import FidelityProfile, region_key, spec_region
 from repro.counters.report import COUNTER_NAMES, CounterReport
@@ -37,7 +36,6 @@ __all__ = [
     "CounterReport",
     "DeviceCounterModel",
     "FidelityProfile",
-    "counting_executor",
     "region_key",
     "spec_region",
 ]

@@ -1,4 +1,4 @@
-"""Counter collection: the run-scoped accumulator and executor wrapper.
+"""Counter collection: the run-scoped accumulator.
 
 A :class:`CounterCollector` is what the ``counters=typed`` registry
 component materializes on a :class:`~repro.api.session.Session`.  The
@@ -7,17 +7,11 @@ session charges each iteration's typed counter vector into it (one
 discipline as the event bus and the faults layer) and snapshots the
 total into the :class:`~repro.counters.report.CounterReport` attached to
 the :class:`~repro.api.session.RunResult`.
-
-:func:`counting_executor` additionally packages the collector as a
-``Session.executor_wrapper`` — a latency-pass-through wrapper that
-counts wrapped iterations/requests, used by the composition-order
-regression tests (it must commute with fault degrade wrappers on all
-simulated metrics).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Sequence
+from typing import Dict, Mapping
 
 from repro.counters.report import CounterReport
 
@@ -60,26 +54,3 @@ class CounterCollector:
     def reset(self) -> None:
         """Drop all accumulated charges."""
         self._totals.clear()
-
-
-def counting_executor(collector: CounterCollector
-                      ) -> Callable[[Callable], Callable]:
-    """An executor wrapper that counts iterations without touching timing.
-
-    Returns a wrapper suitable for ``Session.executor_wrapper``: each
-    executed batch charges ``exec.wrapped_iterations`` and
-    ``exec.wrapped_requests`` into ``collector`` and returns the inner
-    executor's latency unchanged.  Because it is a pure pass-through on
-    timing, it composes commutatively (on all simulated metrics) with
-    latency-scaling wrappers such as the fleet fault degrades — the
-    contract the executor-wrapper regression tests pin.
-    """
-
-    def wrap(inner: Callable[[Sequence], float]) -> Callable[[Sequence], float]:
-        def run(batch: Sequence) -> float:
-            collector.charge_one("exec.wrapped_iterations", 1.0)
-            collector.charge_one("exec.wrapped_requests", float(len(batch)))
-            return inner(batch)
-        return run
-
-    return wrap

@@ -12,8 +12,8 @@ before it can model a fleet.  This package supplies them in three layers:
   serving scheduler polls at iteration boundaries;
 * :mod:`repro.faults.resilience` — the :class:`ResiliencePolicy` /
   :class:`ResilienceRuntime` pair wiring deadlines, retry/backoff
-  re-admission and shedding through the scheduler and the session's
-  executor chain;
+  re-admission, shedding and per-iteration latency penalties through
+  the serving scheduler;
 * :mod:`repro.faults.chaos` — the ``python -m repro chaos`` harness
   sweeping seeded fault scenarios and asserting conservation invariants.
 
@@ -38,8 +38,7 @@ from repro.faults.plan import (ChannelDegrade, ChannelStall, Fault,
                                FaultPlan, KvFault, NodeDegrade, NodeDown,
                                RequestAbort, make_fault_plan,
                                make_node_fault_plan)
-from repro.faults.resilience import (ResiliencePolicy, ResilienceRuntime,
-                                     resilient_executor)
+from repro.faults.resilience import ResiliencePolicy, ResilienceRuntime
 
 __all__ = [
     "ChannelDegrade",
@@ -58,7 +57,6 @@ __all__ = [
     "fleet_chaos_spec",
     "make_fault_plan",
     "make_node_fault_plan",
-    "resilient_executor",
     "run_chaos",
     "run_fleet_chaos",
     "verify_fleet",

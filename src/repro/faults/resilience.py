@@ -6,16 +6,14 @@ The mechanisms that absorb injected (or organic) failures live here:
   ``ScenarioSpec.serving``: per-request deadlines, bounded retry with
   exponential backoff, and graceful-degradation shedding of requests
   that waited too long for admission;
-* :class:`ResilienceRuntime` — the mutable state threaded between the
-  :class:`~repro.serving.scheduler.IterationScheduler` (which detects
-  timeouts and re-admits retries through the
+* :class:`ResilienceRuntime` — the mutable state the
+  :class:`~repro.serving.scheduler.IterationScheduler` threads through
+  its boundaries (timeouts, retries re-admitted through the
   :class:`~repro.serving.preemption.PreemptingAllocatorPool` restore
-  machinery) and the session's executor chain (which applies fault
-  latency penalties and owed restore cycles);
-* :func:`resilient_executor` — the executor shim.  It composes *inside*
-  ``LatencyTracker.wrap`` so penalty cycles move the latency clock
-  exactly like device cycles — the tracker and the scheduler's ``_now``
-  never diverge.
+  machinery) and its iteration epilogue, which charges
+  :meth:`ResilienceRuntime.apply` — fault latency penalties and owed
+  restore cycles — before the latency tracker sees the iteration, so
+  penalty cycles move the latency clock exactly like device cycles.
 
 A session only constructs a runtime when ``faults != "none"`` or a
 resilience knob is set; the default path carries no runtime and the
@@ -25,12 +23,12 @@ scheduler's fault branches reduce to ``resilience is not None`` checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.faults.injector import FaultInjector
 from repro.serving.preemption import PreemptingAllocatorPool
 
-__all__ = ["ResiliencePolicy", "ResilienceRuntime", "resilient_executor"]
+__all__ = ["ResiliencePolicy", "ResilienceRuntime"]
 
 
 @dataclass(frozen=True)
@@ -75,11 +73,11 @@ class ResiliencePolicy:
 class ResilienceRuntime:
     """Mutable fault/resilience state shared across the serving stack.
 
-    The scheduler writes ``now`` before invoking the executor and calls
-    :meth:`charge` when a retried request is re-admitted (its
-    swap/recompute restore cost); the executor shim drains the owed
-    cycles and adds fault latency penalties.  ``counters`` accumulates
-    the taxonomy surfaced in ``RunResult.resilience``.
+    The scheduler calls :meth:`charge` when a retried request is
+    re-admitted (its swap/recompute restore cost) and :meth:`apply` on
+    every iteration, which drains the owed cycles and adds fault latency
+    penalties.  ``counters`` accumulates the taxonomy surfaced in
+    ``RunResult.resilience``.
     """
 
     def __init__(self, policy: ResiliencePolicy,
@@ -89,7 +87,6 @@ class ResilienceRuntime:
         self.policy = policy
         self.injector = injector
         self.preempting = preempting
-        self.now = 0.0
         self.pending_cycles = 0.0
         self.counters: Dict[str, int] = {
             "faults": 0, "timeouts": 0, "retries": 0,
@@ -108,24 +105,15 @@ class ResilienceRuntime:
         """Exponential backoff delay for 1-based retry ``attempt``."""
         return self.policy.retry_backoff_cycles * (2.0 ** (attempt - 1))
 
-    def apply(self, latency: float, batch: Sequence[Any]) -> float:
-        """Penalized latency for one iteration of base ``latency``."""
+    def apply(self, now: float, latency: float,
+              batch: Sequence[Any]) -> float:
+        """Penalized latency for one iteration of base ``latency``.
+
+        ``now`` is the iteration's start time (fault windows are
+        half-open in simulated time).
+        """
         extra = self.pending_cycles
         self.pending_cycles = 0.0
         if self.injector is not None:
-            extra += self.injector.latency_penalty(self.now, latency, batch)
+            extra += self.injector.latency_penalty(now, latency, batch)
         return latency + extra
-
-
-def resilient_executor(runtime: ResilienceRuntime,
-                       inner: Callable[[Sequence[Any]], float]
-                       ) -> Callable[[Sequence[Any]], float]:
-    """Wrap a batch executor with fault penalties and owed cycles.
-
-    Compose this *inside* ``LatencyTracker.wrap`` so the penalty is part
-    of the iteration latency the tracker observes.
-    """
-    def run(batch: Sequence[Any]) -> float:
-        """Execute one batch and apply the runtime's latency penalties."""
-        return runtime.apply(inner(batch), batch)
-    return run

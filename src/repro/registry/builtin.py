@@ -24,7 +24,10 @@ Factory calling conventions (the registration contract, DESIGN.md §8):
   wiring kwargs are exactly :class:`~repro.serving.scheduler.
   IterationScheduler`'s constructor parameters (pool, executor,
   max_batch_size, allocators, assign_channels, load_tracker, grouping,
-  grouped, latency_tracker, events); custom policies usually subclass
+  grouped, latency_tracker, events, plus resilience and latency_hook
+  when the session has them).  The executor is the bare device call:
+  the scheduler itself charges fault penalties and the latency hook and
+  feeds the latency tracker, so custom policies usually subclass
   ``IterationScheduler`` and accept extra options.
 * ``fidelity``: ``factory(session, **options) -> estimator or None`` —
   ``None`` means the device's closed-form constants.

@@ -198,7 +198,7 @@ class GroupedScheduleState:
         self._groups = [groups[key] for key in sorted(groups)]
         self._min_remaining = min(g.remaining for g in self._groups)
         #: members that have not produced a first token yet (latency
-        #: bookkeeping parity with the per-request executor wrapper)
+        #: bookkeeping parity with the per-request path)
         self._fresh: List[InferenceRequest] = []
         #: lazily built block-crossing schedule (see :meth:`block_need`)
         self._block_plan: Optional[Dict[Tuple[int, int],
@@ -284,8 +284,8 @@ class GroupedScheduleState:
         """Write all deferred per-request effects back to the live stack.
 
         Safe to call at any shift (``shift == 0`` is a no-op apart from
-        latency completions, which the per-request executor wrapper would
-        have refreshed every iteration anyway).
+        latency completions, which the per-request path would have
+        refreshed every iteration anyway).
         """
         shift = self.shift
         for group in self._groups:

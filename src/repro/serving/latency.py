@@ -110,9 +110,11 @@ class LatencyReport:
 class LatencyTracker:
     """Reconstructs per-request latencies from a scheduler run.
 
-    Wraps a :class:`~repro.serving.scheduler.IterationScheduler` executor:
-    records, per request, the end time of its first generation iteration
-    and of its completing iteration.
+    Handed to an :class:`~repro.serving.scheduler.IterationScheduler` as
+    ``latency_tracker``: the scheduler's iteration epilogue advances the
+    clock and records, per request, the end time of its first generation
+    iteration and of its completing iteration (both paths — the grouped
+    engine through :meth:`note_completion` at its boundaries).
     """
 
     def __init__(self) -> None:
@@ -138,10 +140,10 @@ class LatencyTracker:
     def sync_clock(self, now: float) -> None:
         """Catch the clock up to the scheduler's ``now`` (idle jumps).
 
-        The executor wrapper only accumulates iteration latencies; when
-        the scheduler idles forward to the next arrival the wrapped
-        clock would lag behind, stamping first-token times *earlier*
-        than the request's arrival (and :meth:`report` would reject the
+        :meth:`advance_clock` only accumulates iteration latencies; when
+        the scheduler idles forward to the next arrival the clock would
+        lag behind, stamping first-token times *earlier* than the
+        request's arrival (and :meth:`report` would reject the
         reconstructed latency as out of order).  The scheduler calls
         this at every idle jump; the clock never moves backwards.
         """
@@ -167,24 +169,6 @@ class LatencyTracker:
         """Refresh a request's completion time (grouped-engine sync)."""
         self._completion[request_id] = end
         self._report_cache = None
-
-    def wrap(self, executor, clock_start: float = 0.0):
-        """Wrap a BatchExecutor, recording per-request progress.
-
-        The clock lives on the tracker (not in the closure) so the
-        grouped serving engine — which bypasses the per-request executor
-        during steady-state windows — advances the same clock via
-        :meth:`advance_clock` and both paths stay consistent.
-        """
-        self._clock = clock_start
-
-        def run(batch):
-            latency = executor(batch)
-            end = self.advance_clock(latency)
-            for request in batch:
-                self.observe_running(request, end)
-            return latency
-        return run
 
     def report(self) -> LatencyReport:
         """Build the latency report for all requests seen.

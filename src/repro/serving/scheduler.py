@@ -10,12 +10,21 @@ per request (*selective batching*).
 The scheduler is device-agnostic: a ``BatchExecutor`` maps the current
 batch to an iteration latency, and the scheduler advances request states.
 This is how the same serving loop drives NeuPIMs and every baseline.
+
+Everything that happens to an iteration's latency after the device
+returns it — fault penalties and owed restore cycles, an optional
+latency hook (fleet node degrades), the latency tracker's clock and
+per-request timestamps, the record and the ``IterationCompleted`` event
+— is one epilogue shared by the per-request and the class-grouped path
+(:meth:`IterationScheduler._charge` / :meth:`IterationScheduler._commit`),
+so the executor is the bare device call and nothing wraps it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from repro.serving.events import (FaultInjected, IterationCompleted,
                                   KvPressure, NodeDegraded,
@@ -39,6 +48,9 @@ BatchExecutor = Callable[[Sequence[InferenceRequest]], float]
 
 #: Assigns channels to newly admitted requests (e.g. Algorithm 2).
 ChannelAssigner = Callable[[Sequence[InferenceRequest]], None]
+
+#: Maps ``(iteration start time, latency)`` to the latency charged.
+LatencyHook = Callable[[float, float], float]
 
 
 @dataclass
@@ -117,9 +129,17 @@ class IterationScheduler:
         bit-identical between modes.  ``"off"`` (the default for
         hand-built schedulers) never groups.
     latency_tracker:
-        The :class:`~repro.serving.latency.LatencyTracker` whose clock
-        the grouped path must keep advancing (the per-request path goes
-        through the tracker's executor wrapper instead).
+        Optional :class:`~repro.serving.latency.LatencyTracker`.  The
+        scheduler advances its clock by every charged iteration latency
+        (both paths) and stamps each running request's first-token and
+        completion times; pass the bare device executor, not a wrapped
+        one.
+    latency_hook:
+        Optional ``(start_time, latency) -> latency`` applied to every
+        iteration on both paths, after the fault penalties and before
+        the latency tracker sees the result (the fleet router's node
+        degrades).  Because grouped windows go through the same hook,
+        it does not stand the grouped fast path down.
     events:
         Optional :class:`~repro.sim.events.EventBus` receiving the
         typed serving events of :mod:`repro.serving.events`.  Every
@@ -133,10 +153,12 @@ class IterationScheduler:
         victims, times out running requests past their deadline
         (retrying them through the preemption restore machinery while
         the budget lasts) and sheds waiting requests past the shedding
-        window.  ``None`` (the default) keeps every fault branch to a
-        single ``is not None`` check; the grouped fast path is disabled
-        while a runtime is attached so grouping ``auto`` and ``off``
-        stay bit-identical under faults by construction.
+        window; every iteration is charged the runtime's fault latency
+        penalties and owed restore cycles.  ``None`` (the default) keeps
+        every fault branch to a single ``is not None`` check; the
+        grouped fast path is disabled while a runtime is attached so
+        grouping ``auto`` and ``off`` stay bit-identical under faults by
+        construction.
     """
 
     def __init__(
@@ -152,6 +174,7 @@ class IterationScheduler:
         latency_tracker: Optional["LatencyTracker"] = None,
         events: Optional["EventBus"] = None,
         resilience: Optional["ResilienceRuntime"] = None,
+        latency_hook: Optional[LatencyHook] = None,
     ) -> None:
         if max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
@@ -171,6 +194,7 @@ class IterationScheduler:
         self.latency_tracker = latency_tracker
         self.events = events
         self.resilience = resilience
+        self.latency_hook = latency_hook
         self.stats = ServingStats()
         #: Terminal outcome per retired request id (``completed`` /
         #: ``timed_out`` / ``shed`` / ``aborted``).
@@ -282,6 +306,15 @@ class IterationScheduler:
         :meth:`_terminate` no terminal outcome is recorded — the request
         lives on, on some other node.
         """
+        self._detach(request)
+        resilience = self.resilience
+        if resilience is not None and resilience.preempting is not None:
+            resilience.preempting.preempted.pop(request.request_id, None)
+        request.status = RequestStatus.WAITING
+        request.channel = None
+
+    def _detach(self, request: InferenceRequest) -> None:
+        """Drop ``request``'s KV, load-tracker, pool and retry state."""
         rid = request.request_id
         if self.load_tracker is not None and \
                 request.status is RequestStatus.RUNNING:
@@ -292,10 +325,6 @@ class IterationScheduler:
         if self.resilience is not None:
             self.resilience.attempts.pop(rid, None)
             self.resilience.deadline_base.pop(rid, None)
-            if self.resilience.preempting is not None:
-                self.resilience.preempting.preempted.pop(rid, None)
-        request.status = RequestStatus.WAITING
-        request.channel = None
 
     # ------------------------------------------------------------------
     # Resilience (deadlines, retries, shedding, fault windows).
@@ -308,17 +337,9 @@ class IterationScheduler:
         ``aborted``): releases any KV allocation, detaches from the load
         tracker, evicts from the pool and records the outcome.
         """
-        resilience = self.resilience
         rid = request.request_id
-        if self.load_tracker is not None and \
-                request.status is RequestStatus.RUNNING:
-            self.load_tracker.remove(request)
-        if self.allocators is not None and request.channel is not None:
-            self.allocators[request.channel].release(rid)
-        self.pool.evict(rid)
-        resilience.attempts.pop(rid, None)
-        resilience.deadline_base.pop(rid, None)
-        resilience.counters[outcome] += 1
+        self._detach(request)
+        self.resilience.counters[outcome] += 1
         self.outcomes[rid] = outcome
         events = self.events
         if events is not None and events.active:
@@ -421,6 +442,49 @@ class IterationScheduler:
                     self._terminate(request, "shed")
 
     # ------------------------------------------------------------------
+    # Iteration epilogue (shared by both paths).
+    # ------------------------------------------------------------------
+
+    def _charge(self, latency: float,
+                batch: Sequence[InferenceRequest] = ()) -> Tuple[float, float]:
+        """The charged latency and end time of the iteration starting now.
+
+        Adds the resilience runtime's fault penalties and owed restore
+        cycles (only ever attached on the per-request path), applies the
+        latency hook, and advances the latency tracker's clock.
+        """
+        now = self._now
+        if self.resilience is not None:
+            latency = self.resilience.apply(now, latency, batch)
+        if self.latency_hook is not None:
+            latency = self.latency_hook(now, latency)
+        if latency <= 0:
+            raise ValueError("executor returned non-positive latency")
+        if self.latency_tracker is not None:
+            return latency, self.latency_tracker.advance_clock(latency)
+        return latency, now + latency
+
+    def _commit(self, latency: float, batch_size: int, admitted: int = 0,
+                retired: int = 0) -> IterationRecord:
+        """Record the iteration, advance the clock and publish it."""
+        record = IterationRecord(
+            index=len(self.stats.iterations),
+            start_time=self._now,
+            latency=latency,
+            batch_size=batch_size,
+            tokens_generated=batch_size,
+            admitted=admitted,
+            retired=retired,
+        )
+        self.stats.iterations.append(record)
+        self._now += latency
+        events = self.events
+        if events is not None and events.active:
+            events.emit(IterationCompleted(time=record.end_time,
+                                           record=record))
+        return record
+
+    # ------------------------------------------------------------------
     # Class-grouped fast path.
     # ------------------------------------------------------------------
 
@@ -442,14 +506,13 @@ class IterationScheduler:
         state = self._grouped_state
         if state is None:
             return
-        clock = (self.latency_tracker.clock
-                 if self.latency_tracker is not None else self._now)
         events = self.events
         if state.shift > 0 and events is not None and events.active:
             events.emit(WindowCommitted(time=self._now,
                                         iterations=state.shift))
+        # The epilogue moves the tracker's clock in step with ``now``.
         state.sync(self.allocators, self.load_tracker,
-                   self.latency_tracker, clock)
+                   self.latency_tracker, self._now)
         self._grouped_state = None
 
     def _grouped_steps(self, max_steps: int) -> Optional[IterationRecord]:
@@ -513,33 +576,13 @@ class IterationScheduler:
                                 .free_blocks))
                     boundary = True
                     break
-            latency = self.grouped.run(state.plan, state.shift)
-            if latency <= 0:
-                raise ValueError("executor returned non-positive latency")
+            latency, end = self._charge(
+                self.grouped.run(state.plan, state.shift))
             for channel, blocks in need.items():
                 self.allocators[channel].bulk_reserve(blocks)
             state.advance()
-            if self.latency_tracker is not None:
-                end = self.latency_tracker.advance_clock(latency)
-            else:
-                end = self._now + latency
             state.flush_fresh(self.latency_tracker, end)
-            record = IterationRecord(
-                index=len(self.stats.iterations),
-                start_time=self._now,
-                latency=latency,
-                batch_size=state.batch_size,
-                tokens_generated=state.batch_size,
-                admitted=0,
-                retired=0,
-            )
-            self.stats.iterations.append(record)
-            self._now += latency
-            events = self.events
-            if events is not None and events.active:
-                events.emit(IterationCompleted(time=record.end_time,
-                                               record=record))
-            last = record
+            last = self._commit(latency, state.batch_size)
             steps += 1
         if boundary or steps == 0 or state.steps_until_finish() <= 0:
             self.sync_grouped()
@@ -578,11 +621,11 @@ class IterationScheduler:
             batch = self.pool.running()
             if not batch:
                 return None
-        if resilience is not None:
-            resilience.now = self._now
-        latency = self.executor(batch)
-        if latency <= 0:
-            raise ValueError("executor returned non-positive latency")
+        latency, end = self._charge(self.executor(batch), batch)
+        if self.latency_tracker is not None:
+            observe = self.latency_tracker.observe_running
+            for request in batch:
+                observe(request, end)
         for request in batch:
             request.advance(1)
             if self.load_tracker is not None:
@@ -619,22 +662,7 @@ class IterationScheduler:
                         events.emit(KvPressure(
                             time=self._now, channel=channel,
                             needed_blocks=1, free_blocks=free))
-        record = IterationRecord(
-            index=len(self.stats.iterations),
-            start_time=self._now,
-            latency=latency,
-            batch_size=len(batch),
-            tokens_generated=len(batch),
-            admitted=admitted,
-            retired=retired,
-        )
-        self.stats.iterations.append(record)
-        self._now += latency
-        events = self.events
-        if events is not None and events.active:
-            events.emit(IterationCompleted(time=record.end_time,
-                                           record=record))
-        return record
+        return self._commit(latency, len(batch), admitted, retired)
 
     def run(self, max_iterations: int = 1_000_000) -> ServingStats:
         """Run until the pool drains or ``max_iterations`` is hit."""

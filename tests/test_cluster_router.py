@@ -177,6 +177,56 @@ class TestFailover:
         assert batch.run().to_dict() == stepped.run().to_dict()
 
 
+class TestGroupingInvariance:
+    """Grouping ``auto`` and ``off`` give the same fleet payload.
+
+    The nodes carry no resilience knobs, so their grouped fast path is
+    live and the router sees nodes in the middle of grouped windows.
+    """
+
+    NODE = ScenarioSpec(model="gpt3-7b", system="neupims",
+                        layers_resident=2, fidelity="analytic",
+                        serving=ServingSpec(max_batch_size=32))
+    TRAFFIC = TrafficSpec.poisson(dataset="sharegpt", rate_per_kcycle=0.04,
+                                  horizon_cycles=4e6, seed=11,
+                                  max_requests=120)
+
+    def _fleet(self, grouping, **updates):
+        node = self.NODE.override(
+            serving=ServingSpec(max_batch_size=32, grouping=grouping))
+        return FleetSpec(nodes=(node,) * 3, traffic=self.TRAFFIC,
+                         **updates)
+
+    def test_load_aware_routing_reads_synchronized_loads(self):
+        # Regression: least-loaded routing read channel loads that a
+        # grouped window had not written back yet, so the two modes
+        # routed (and finished) differently.
+        results = [run_fleet(self._fleet(grouping, policy="least-loaded"))
+                   for grouping in ("auto", "off")]
+        assert results[0].to_dict() == results[1].to_dict()
+
+    def test_degraded_nodes_keep_grouped_windows(self):
+        from repro.serving.events import WindowCommitted
+        faults = dict(policy="least-loaded", fault_seed=4,
+                      fault_options={"horizon": 4e6, "downs": 0,
+                                     "degrades": 3})
+        payloads = {}
+        for grouping in ("auto", "off"):
+            router = Router(self._fleet(grouping, **faults)).materialize()
+            windows = []
+            for index, handle in enumerate(router.handles):
+                if router.schedule.degrades(index):
+                    handle.session.events.subscribe(WindowCommitted,
+                                                    windows.append)
+            payloads[grouping] = router.run().to_dict()
+            assert bool(windows) == (grouping == "auto")
+        assert payloads["auto"] == payloads["off"]
+        # The derate really moved simulated time.
+        healthy = run_fleet(self._fleet("auto", policy="least-loaded"))
+        assert payloads["auto"]["makespan_cycles"] != \
+            healthy.makespan_cycles
+
+
 class TestFleetResult:
     def test_round_trip_through_json(self):
         result = run_fleet(small_fleet())

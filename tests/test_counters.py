@@ -10,8 +10,9 @@ Covers the eighth registry kind end to end:
 * conservation invariants — identical :class:`CounterReport`\\ s across
   ``drain_fast`` on/off, grouping ``auto``/``off``, stream vs batch
   consumption, and the 1-node fleet rollup vs a plain ``Session``;
-* executor-wrapper composition — the counting wrapper and a
-  latency-scaling degrade wrapper commute on all simulated metrics;
+* latency hooks — a degrade hook scales simulated time but leaves the
+  device-level counters alone, and grouped windows stay bit-identical
+  to the per-request path under it;
 * the refutation harness and the :class:`FidelityProfile` behind
   ``fidelity="auto"`` (deterministic audits, spec resolution, and the
   analytic-where-proven / cycle-where-refuted speed contract).
@@ -25,10 +26,10 @@ import pytest
 from repro.api.session import RunResult, Session
 from repro.api.spec import ScenarioSpec, TrafficSpec
 from repro.counters import (COUNTER_NAMES, CounterCollector, CounterReport,
-                            FidelityProfile, counting_executor, region_key,
-                            spec_region)
+                            FidelityProfile, region_key, spec_region)
 from repro.counters.refute import (DEFAULT_BOUNDS, REGIONS, fine_wave_pitch,
                                    predict_gemv_counters, run_refute)
+from repro.serving.events import WindowCommitted
 
 
 def serving_spec(**overrides):
@@ -90,13 +91,6 @@ class TestCounterCollector:
             {"a": 4.0, "b": 2.0, "c": 0.5})
         collector.reset()
         assert not collector.report()
-
-    def test_counting_executor_passes_latency_through(self):
-        collector = CounterCollector()
-        wrapped = counting_executor(collector)(lambda batch: 42.0)
-        assert wrapped([1, 2, 3]) == 42.0
-        assert collector.snapshot() == {"exec.wrapped_iterations": 1.0,
-                                        "exec.wrapped_requests": 3.0}
 
 
 # ----------------------------------------------------------------------
@@ -245,40 +239,34 @@ class TestRunResultCounters:
 
 
 # ----------------------------------------------------------------------
-# Executor-wrapper composition (the ordering-contract satellite).
+# Latency hooks.
 # ----------------------------------------------------------------------
 
-class TestWrapperComposition:
+class TestLatencyHook:
     @staticmethod
-    def _degrade(factor):
-        def wrapper(inner):
-            def run(batch):
-                return inner(batch) * factor
-            return run
-        return wrapper
-
-    def _run(self, wrappers):
+    def _run(grouping, hook=None):
         spec = serving_spec()
         spec = spec.override(
-            serving=replace(spec.serving, grouping="off"))
+            serving=replace(spec.serving, grouping=grouping))
         session = Session(spec)
+        session.latency_hook = hook
+        session.materialize()
+        windows = []
+        session.events.subscribe(WindowCommitted, windows.append)
+        return session.run(), len(windows)
 
-        def composed(inner):
-            for wrap in reversed(wrappers):
-                inner = wrap(inner)
-            return inner
-        session.executor_wrapper = composed
-        return session.run()
+    def test_degrade_hook_keeps_counters_and_grouping_identical(self):
+        """A derate moves simulated time only, on both serving paths."""
+        def degrade(now, latency):
+            return latency * 1.25
 
-    def test_counting_commutes_with_degrade(self):
-        """Pass-through counting composes commutatively with derates."""
-        degrade = self._degrade(1.25)
-        col_a, col_b = CounterCollector(), CounterCollector()
-        a = self._run([counting_executor(col_a), degrade])
-        b = self._run([degrade, counting_executor(col_b)])
-        assert a.to_dict() == b.to_dict()
-        assert col_a.snapshot() == col_b.snapshot()
-        assert col_a.snapshot()["exec.wrapped_iterations"] == a.iterations
+        plain, _ = self._run("off")
+        auto, windows = self._run("auto", degrade)
+        off, _ = self._run("off", degrade)
+        assert windows > 0  # the hook does not stand grouping down
+        assert auto.to_dict() == off.to_dict()
+        assert auto.counters == plain.counters
+        assert auto.total_time_cycles > plain.total_time_cycles
 
 
 # ----------------------------------------------------------------------

@@ -92,8 +92,9 @@ class TestLatencyTracker:
         pool.submit_all(requests)
         tracker = LatencyTracker()
         scheduler = IterationScheduler(
-            pool, tracker.wrap(device.executor()), max_batch_size=8,
-            assign_channels=device.assign_channels)
+            pool, device.executor(), max_batch_size=8,
+            assign_channels=device.assign_channels,
+            latency_tracker=tracker)
         stats = scheduler.run()
         report = tracker.report()
         assert len(report.requests) == 4
@@ -110,8 +111,9 @@ class TestLatencyTracker:
         pool.submit_all([early, late])
         tracker = LatencyTracker()
         scheduler = IterationScheduler(
-            pool, tracker.wrap(device.executor()), max_batch_size=8,
-            assign_channels=device.assign_channels)
+            pool, device.executor(), max_batch_size=8,
+            assign_channels=device.assign_channels,
+            latency_tracker=tracker)
         scheduler.run()
         report = tracker.report()
         by_id = {r.request_id: r for r in report.requests}
@@ -130,7 +132,7 @@ class TestLatencyTracker:
         pool.submit_all([early, late])
         tracker = LatencyTracker()
         scheduler = IterationScheduler(
-            pool, tracker.wrap(device.executor()), max_batch_size=8,
+            pool, device.executor(), max_batch_size=8,
             assign_channels=device.assign_channels,
             latency_tracker=tracker)
         scheduler.run()
@@ -167,6 +169,13 @@ class TestStatsHelpers:
         assert iteration_latency_histogram(ServingStats()) == {}
 
 
+def run_iteration(tracker, batch, latency=100.0):
+    """What the scheduler's iteration epilogue does with its tracker."""
+    end = tracker.advance_clock(latency)
+    for request in batch:
+        tracker.observe_running(request, end)
+
+
 class TestSyncClockMonotonicity:
     """Regression: the tracker clock never runs backwards.
 
@@ -187,15 +196,14 @@ class TestSyncClockMonotonicity:
 
     def test_idle_forward_keeps_first_token_after_arrival(self):
         tracker = LatencyTracker()
-        executor = tracker.wrap(lambda batch: 100.0)
         early = InferenceRequest(0, input_len=8, output_len=1,
                                  arrival_time=0.0)
-        executor([early])
+        run_iteration(tracker, [early])
         # Late arrival: the scheduler idles forward before serving it.
         late = InferenceRequest(1, input_len=8, output_len=1,
                                 arrival_time=9000.0)
         tracker.sync_clock(9000.0)
-        executor([late])
+        run_iteration(tracker, [late])
         report = tracker.report()
         by_id = {r.request_id: r for r in report.requests}
         assert by_id[1].first_token_time == pytest.approx(9100.0)
@@ -209,13 +217,12 @@ class TestSyncClockMonotonicity:
         # tracker must keep the original arrival or the reconstructed
         # latency would have first_token < arrival and report() raises.
         tracker = LatencyTracker()
-        executor = tracker.wrap(lambda batch: 100.0)
         request = InferenceRequest(0, input_len=8, output_len=4,
                                    arrival_time=0.0)
-        executor([request])  # first token at clock 100
+        run_iteration(tracker, [request])  # first token at clock 100
         request.arrival_time = 5000.0  # retry backoff re-base
         tracker.sync_clock(5000.0)
-        executor([request])
+        run_iteration(tracker, [request])
         report = tracker.report()
         assert len(report.requests) == 1
         entry = report.requests[0]
@@ -234,9 +241,9 @@ class TestSyncClockMonotonicity:
                              arrival_time=7e6),
         ])
         tracker = LatencyTracker()
-        scheduler = IterationScheduler(pool, tracker.wrap(
-            lambda batch: 1000.0), max_batch_size=4,
-            latency_tracker=tracker)
+        scheduler = IterationScheduler(pool, lambda batch: 1000.0,
+                                       max_batch_size=4,
+                                       latency_tracker=tracker)
         scheduler.run(max_iterations=100)
         report = tracker.report()  # raises if any timestamps disorder
         assert len(report.requests) == 3

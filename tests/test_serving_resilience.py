@@ -16,7 +16,6 @@ from repro.faults import (
     RequestAbort,
     ResiliencePolicy,
     ResilienceRuntime,
-    resilient_executor,
 )
 from repro.faults.plan import ChannelStall
 from repro.model.spec import GPT3_7B
@@ -207,14 +206,42 @@ class TestLatencyPenalties:
         runtime = ResilienceRuntime(ResiliencePolicy(),
                                     injector=FaultInjector(plan))
         runtime.charge(100.0)
-        executor = resilient_executor(runtime, constant_executor)
         batch = [InferenceRequest(0, input_len=8, output_len=8, channel=0)]
-        runtime.now = 50.0
-        assert executor(batch) == pytest.approx(LATENCY + 250.0 + 100.0)
+        assert runtime.apply(50.0, LATENCY, batch) == \
+            pytest.approx(LATENCY + 250.0 + 100.0)
         # Owed cycles drained; only the stall remains.
-        assert executor(batch) == pytest.approx(LATENCY + 250.0)
-        runtime.now = 2e5  # outside the window
-        assert executor(batch) == pytest.approx(LATENCY)
+        assert runtime.apply(50.0, LATENCY, batch) == \
+            pytest.approx(LATENCY + 250.0)
+        # Outside the window.
+        assert runtime.apply(2e5, LATENCY, batch) == pytest.approx(LATENCY)
+
+    def test_scheduler_charges_penalties_itself(self):
+        """A hand-built scheduler with a runtime needs no executor shim.
+
+        The stall covers the first two iterations' start times only, so
+        exactly those records carry the penalty, and the latency tracker
+        sees the charged latency.
+        """
+        from repro.serving.latency import LatencyTracker
+        plan = FaultPlan(seed=0, faults=(
+            ChannelStall(start=0.0, duration=1500.0, channel=0,
+                         stall_cycles=250.0),))
+        tracker = LatencyTracker()
+
+        def on_channel_zero(requests):
+            for req in requests:
+                req.channel = 0
+
+        scheduler, _ = scheduler_with(
+            [request(0, output_len=4)], ResiliencePolicy(),
+            injector=FaultInjector(plan), latency_tracker=tracker,
+            assign_channels=on_channel_zero)
+        scheduler.run(max_iterations=10)
+        latencies = [r.latency for r in scheduler.stats.iterations]
+        assert latencies == [LATENCY + 250.0] * 2 + [LATENCY] * 2
+        assert tracker.clock == scheduler.now == sum(latencies)
+        (entry,) = tracker.report().requests
+        assert entry.completion_time == sum(latencies)
 
 
 class TestRetryExhaustion:
