@@ -429,8 +429,8 @@ def test_faults_disabled_serving_baseline(benchmark):
 def test_counters_disabled_serving_baseline(benchmark):
     """The counters subsystem's zero-overhead-when-disabled gate.
 
-    The serving bench runs with the counters component at its default
-    (``counters="none"`` — the factory returns ``None`` and every
+    The serving bench runs with counters at their default
+    (``counters="none"`` — ``Session.counters`` is ``None`` and every
     producer skips its charging branch): the simulated metrics must
     stay bit-identical to the committed baseline, and the
     grouped-engine wall-clock speedup must stay within 5% of the

@@ -21,9 +21,9 @@ Seven subcommands share one scenario vocabulary:
   ``refute-smoke`` gate); the emitted profile drives
   ``fidelity="auto"``;
 * ``components`` — list the :mod:`repro.registry` component table
-  (systems, schedulers, traffic models, KV allocators, fidelity
-  engines, fault plans, counter collectors), including anything user
-  code registered before invoking the CLI programmatically.
+  (systems, schedulers, traffic models, fault plans, fleet routers),
+  including anything user code registered before invoking the CLI
+  programmatically.
 
 ``--system`` and ``--scheduler`` accept any *registered* name — not
 just the built-ins — so a module that ``@register``\\ s a policy and
@@ -42,8 +42,8 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.report import format_table
-from repro.api.spec import (FIDELITIES, SYSTEMS, ScenarioSpec, ServingSpec,
-                            TrafficSpec)
+from repro.api.spec import (FIDELITIES, GROUPING_MODES, SYSTEMS,
+                            ScenarioSpec, ServingSpec, TrafficSpec)
 
 
 def _parse_axis_value(text: str) -> Any:
@@ -100,7 +100,7 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-batch-size", type=int, default=None,
                         help="serving-loop batch cap")
     parser.add_argument("--grouping", default=None,
-                        choices=("auto", "on", "off"),
+                        choices=GROUPING_MODES,
                         help="equivalence-class group-commit engine for "
                              "serving runs (default auto)")
     parser.add_argument("--faults", default=None,
@@ -496,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
         "components", help="list the registered scenario components")
     components_parser.add_argument("--kind", default=None,
                                    help="restrict to one component kind "
-                                        "(system/scheduler/traffic/kv/"
-                                        "fidelity/faults/counters)")
+                                        "(system/scheduler/traffic/"
+                                        "faults/router)")
     components_parser.add_argument("--json", metavar="FILE", default=None,
                                    dest="json_path",
                                    help="also dump the table as JSON")

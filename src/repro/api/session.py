@@ -1,13 +1,14 @@
 """Sessions materialize scenario specs and run them to uniform results.
 
 A :class:`Session` turns one :class:`~repro.api.spec.ScenarioSpec` into
-the full simulation stack — every ingredient resolved by name through
-:mod:`repro.registry` (system/device, traffic model, KV allocators,
-scheduler, fidelity engine) — runs it, and returns a :class:`RunResult`
-whose schema is identical across every simulation mode: single
-measurements, streaming serving runs, baselines and sweep cells all
-report the same latency / throughput / utilization / energy fields plus
-per-iteration records.
+the full simulation stack — the named components resolved through
+:mod:`repro.registry` (system/device, traffic model, scheduler, fault
+plan), plus the fidelity tier's estimator, the paged KV allocators and
+the typed-counter totals the spec's plain fields ask for — runs it,
+and returns a :class:`RunResult` whose schema is identical across every
+simulation mode: single measurements, streaming serving runs, baselines
+and sweep cells all report the same latency / throughput / utilization
+/ energy fields plus per-iteration records.
 
 Execution comes in two granularities sharing one stepping core:
 
@@ -55,6 +56,7 @@ from repro.serving.events import (CountersSampled, IterationCompleted,
                                   ServingEvent)
 from repro.serving.grouping import GroupedExecutor
 from repro.serving.latency import LatencyTracker
+from repro.serving.paging import PagedKvConfig, channel_allocators
 from repro.serving.pool import RequestPool
 from repro.serving.preemption import PreemptingAllocatorPool
 from repro.serving.request import InferenceRequest
@@ -89,7 +91,7 @@ class RunResult:
 
     ``counters`` is the run's typed hardware counter rollup
     (:class:`~repro.counters.report.CounterReport`), populated when the
-    scenario's ``counters`` component is not ``"none"``; like the
+    scenario sets ``counters="typed"``; like the
     resilience fields it is omitted from :meth:`to_dict` when empty so
     built-in-only payloads keep their pre-counters JSON shape.
     """
@@ -187,7 +189,7 @@ class Session:
 
     The constructor only resolves the spec (model, config, fidelity);
     :meth:`materialize` builds the stack — resolving the system, traffic
-    model, KV allocators, fidelity engine and scheduler by name through
+    model, fault plan and scheduler by name through
     :mod:`repro.registry` — and :meth:`run` executes it, caching the
     :class:`RunResult`.  The materialized pieces stay reachable
     (``device`` / ``system`` / ``pool`` / ``scheduler`` /
@@ -229,14 +231,10 @@ class Session:
         self.latency_tracker: Optional[LatencyTracker] = None
         #: fault injector from the ``faults`` component (``None`` off)
         self.fault_injector = None
-        #: typed counter collector from the ``counters`` component
-        #: (``None`` for ``counters="none"``, the zero-overhead default)
-        self.counters = None
-        # Every request that ever entered the pool, for build-time KV
-        # page-churn accounting (the pool forgets retired requests, and
-        # externally fed sessions — fleet nodes — have no arrivals).
-        # Only populated while a counter collector is attached.
-        self._counter_requests: Dict[int, InferenceRequest] = {}
+        #: typed counter totals, name -> value (``None`` for
+        #: ``counters="none"``, the zero-overhead default)
+        self.counters: Optional[Dict[str, float]] = \
+            {} if spec.counters == "typed" else None
         #: resilience runtime; only built when faults or knobs are set
         self.resilience: Optional[ResilienceRuntime] = None
         #: typed serving events (zero-overhead while unsubscribed)
@@ -276,11 +274,9 @@ class Session:
 
     def _build_device(self) -> Any:
         """Construct the system-under-test through the registry."""
-        # The *declared* fidelity name resolves the factory (so the
-        # profile-guided ``auto`` component sees its ``profile`` option);
-        # ``self.fidelity`` stays the resolved tier for reporting.
-        estimator = REGISTRY.create("fidelity", self.spec.fidelity, self,
-                                    **self.spec.options_for("fidelity"))
+        # The analytic tier uses the device's closed-form constants.
+        estimator = (self.calibrated_estimator()
+                     if self.fidelity == "cycle" else None)
         return REGISTRY.create(
             "system", self.spec.system, self.model_spec, self.config,
             tp=self.tp, layers_resident=self.spec.layers_resident,
@@ -293,8 +289,7 @@ class Session:
         the system under test (unless the ``pp`` knob selects the
         multi-device :class:`~repro.core.system.NeuPimsSystem` engine),
         the traffic model (warmed batches or streaming arrivals), and —
-        for streaming workloads — the KV allocator family and the
-        scheduler.
+        for streaming workloads — the fault plan and the scheduler.
         """
         if self._materialized:
             return self
@@ -305,9 +300,6 @@ class Session:
             self.device = self.system.device
         else:
             self.device = self._build_device()
-        self.counters = REGISTRY.create(
-            "counters", self.spec.counters, self,
-            **self.spec.options_for("counters"))
         if self.counters is not None \
                 and hasattr(self.device, "attach_counters"):
             self.device.attach_counters()
@@ -327,30 +319,16 @@ class Session:
         serving = self.spec.serving
         self.arrivals = tuple(workload.arrivals)
         self.pool = RequestPool()
-        if self.counters is not None:
-            # KV page churn must charge identically whether requests
-            # arrive from the traffic model or an external feeder (a
-            # fleet router submitting into the pool), and the pool
-            # forgets retired requests — so shadow every submission
-            # session-side.  ``submit_all`` routes through ``submit``,
-            # so the instance override below sees both.
-            tracked = self._counter_requests
-            inner_submit = self.pool.submit
-
-            def tracking_submit(request: InferenceRequest) -> None:
-                inner_submit(request)
-                tracked[request.request_id] = request
-
-            self.pool.submit = tracking_submit
         self.pool.submit_all(self.arrivals)
         is_neupims = isinstance(self.device, NeuPimsDevice)
         channels = self.device.channel_pool if is_neupims else 1
         if serving.paged_kv:
-            layers = getattr(self.device, "layers",
-                             self.model_spec.num_layers)
-            self.allocators = REGISTRY.create(
-                "kv", self.spec.kv, self.model_spec, serving, channels,
-                layers_resident=layers, **self.spec.options_for("kv"))
+            self.allocators = channel_allocators(
+                PagedKvConfig(block_tokens=serving.kv_block_tokens,
+                              capacity_bytes=serving.kv_capacity_bytes),
+                self.model_spec, channels,
+                layers_resident=getattr(self.device, "layers",
+                                        self.model_spec.num_layers))
         if serving.load_tracker and is_neupims:
             self.load_tracker = self.device.attach_load_tracker()
         self.fault_injector = REGISTRY.create(
@@ -396,8 +374,8 @@ class Session:
         """The class-grouped engine for this scenario, if applicable.
 
         ``"auto"`` returns ``None`` for systems without class-plan support
-        (the scheduler then stays on the per-request path); ``"on"``
-        insists and raises instead.  The returned runner feeds the same
+        (the scheduler then stays on the per-request path).  The
+        returned runner feeds the same
         busy/byte accumulators as :meth:`_executor`, so aggregates are
         identical between paths.
         """
@@ -422,10 +400,6 @@ class Session:
                 return result.latency
             return GroupedExecutor(device.prepare_class_plan,
                                    run_device_plan)
-        if grouping == "on":
-            raise ValueError(
-                f"system {self.spec.system!r} has no class-grouped engine; "
-                "use grouping='auto' or 'off'")
         return None
 
     def _executor(self):
@@ -452,8 +426,10 @@ class Session:
         self._external_bytes += result.external_bytes
         for key, value in result.busy.items():
             self._busy[key] = self._busy.get(key, 0.0) + value
-        if self.counters is not None and result.counters:
-            self.counters.charge(result.counters)
+        counters = self.counters
+        if counters is not None and result.counters:
+            for name, value in result.counters.items():
+                counters[name] = counters.get(name, 0.0) + value
             events = self.events
             if events.active:
                 events.emit(CountersSampled(
@@ -594,31 +570,32 @@ class Session:
     def _kv_page_churn(self) -> float:
         """KV pages (paged-allocator blocks) turned over by the run.
 
-        Defined as the blocks needed to hold each pool request's final
-        context (:meth:`~repro.serving.paging.PagedKvAllocator.blocks_for`
-        over ``input_len + generated``), summed over every request that
-        ever entered the pool — a pure function of terminal request
-        state, so the charge is bit-identical across grouping modes,
-        stream-vs-batch consumption, and external (fleet-router) feeds.
+        Every request that entered this session's pool is charged the
+        blocks its context (``seq_len``) needs when it leaves the pool —
+        completed, terminated, or released to another fleet node — or
+        now, if it is still pooled.  The departed part is the
+        scheduler's :attr:`~repro.serving.scheduler.IterationScheduler.
+        kv_page_churn`.  A pure function of request state, so the charge
+        is bit-identical across grouping modes, stream-vs-batch
+        consumption, and external (fleet-router) feeds.
         """
-        if not self.allocators or not self._counter_requests:
+        if not self.allocators:
             return 0.0
-        allocator = self.allocators[0]
-        return float(sum(
-            allocator.blocks_for(req.input_len + req.generated)
-            for req in self._counter_requests.values()))
+        blocks_for = self.allocators[0].blocks_for
+        return float(self.scheduler.kv_page_churn
+                     + sum(blocks_for(req.seq_len) for req in self.pool))
 
     def _counter_report(self) -> CounterReport:
         """Freeze the run's typed counters (empty when disabled).
 
         Built afresh at result-build time — the iteration charges live
-        in the collector and the KV churn is a pure function of request
-        state, so calling this (or :meth:`result`) repeatedly never
-        double-charges.
+        in :attr:`counters` and the KV churn is a pure function of
+        request state, so calling this (or :meth:`result`) repeatedly
+        never double-charges.
         """
         if self.counters is None:
             return CounterReport()
-        totals = self.counters.snapshot()
+        totals = dict(self.counters)
         churn = self._kv_page_churn()
         if churn:
             totals["kv.page_churn"] = totals.get("kv.page_churn",

@@ -36,9 +36,13 @@ SYSTEMS = ("neupims", "npu-pim", "npu-only", "gpu-only", "transpim")
 #: The built-in traffic kinds (registry kind ``"traffic"``).
 TRAFFIC_KINDS = ("warmed", "poisson", "replay", "external")
 
-#: The built-in fidelity settings (see DESIGN.md §7 for the selection
-#: rules); ``"auto"`` resolves to a registered fidelity engine.
+#: The fidelity settings (see DESIGN.md §7 for the selection rules);
+#: ``"auto"`` resolves to one of the two tiers per scenario.
 FIDELITIES = ("analytic", "cycle", "auto")
+
+#: The typed-counter settings: off, or the :mod:`repro.counters`
+#: taxonomy rolled into ``RunResult.counters``.
+COUNTERS = ("none", "typed")
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +219,7 @@ class ServingSpec:
     max_iterations: int = 1_000_000
     #: equivalence-class group-commit engine: ``"auto"`` groups whenever
     #: the system under test supports class plans (bit-identical records
-    #: either way), ``"on"`` requires support, ``"off"`` never groups
+    #: either way), ``"off"`` never groups
     grouping: str = "auto"
     #: per-request deadline in cycles for *running* requests (measured
     #: from arrival, re-based after each retry); ``None`` disables
@@ -261,14 +265,15 @@ _CONFIG_FLAGS = frozenset((
     "dual_row_buffer", "composite_isa", "greedy_binpack",
     "sub_batch_interleaving", "adaptive_sbi",
 ))
-#: Per-component option-dict fields (stored as canonical frozen pairs).
+#: Option-dict fields (stored as canonical frozen pairs).
 _OPTION_FIELDS = ("system_options", "scheduler_options",
-                  "traffic_options", "kv_options", "fidelity_options",
-                  "faults_options", "counters_options")
-#: Component-name fields omitted from ``to_dict`` at their defaults so
-#: built-in-only specs keep their pre-registry JSON shape.
-_COMPONENT_DEFAULTS = (("scheduler", "iteration"), ("kv", "paged"),
-                       ("faults", "none"), ("counters", "none"))
+                  "traffic_options", "fidelity_options", "faults_options")
+#: The only ``fidelity_options`` key: a ``FidelityProfile`` payload.
+_FIDELITY_OPTION_KEYS = ("profile",)
+#: Fields omitted from ``to_dict`` at their defaults so built-in-only
+#: specs keep their pre-registry JSON shape.
+_PRUNED_DEFAULTS = (("scheduler", "iteration"), ("faults", "none"),
+                    ("counters", "none"))
 #: ServingSpec resilience fields omitted from ``to_dict`` at their
 #: defaults so pre-resilience serving payloads keep their JSON shape.
 _SERVING_PRUNED_DEFAULTS = (("deadline_cycles", None), ("max_retries", 0),
@@ -303,29 +308,36 @@ class ScenarioSpec:
     traffic / serving:
         Workload and serving-loop knobs.
     fidelity:
-        ``"analytic"`` uses closed-form Algorithm-1 latency constants;
-        ``"cycle"`` calibrates them from the command-level DRAM/PIM
-        simulation (memoized per hardware config); ``"auto"`` picks per
-        the DESIGN.md §7 rules (cycle for device-level warmed
-        measurements on PIM systems, analytic otherwise).
-    scheduler / kv / faults / counters:
-        Registered component names for the serving scheduler, the
-        paged-KV allocator family (``kv`` applies when
-        ``serving.paged_kv`` is set), the fault-injection plan
-        (``"none"`` disables injection at zero overhead; ``"seeded"``
-        draws a deterministic plan from ``faults_options["seed"]``)
-        and the typed-counter collector (``"none"`` disables counter
-        collection at zero overhead; ``"typed"`` rolls the
-        :mod:`repro.counters` taxonomy into ``RunResult.counters``).
-        Like ``system`` and ``traffic.kind``, these resolve through
-        :mod:`repro.registry`, so a ``@register("scheduler",
-        "my-policy")`` class sweeps like any built-in.
-    system_options / scheduler_options / traffic_options / kv_options /
-    fidelity_options / faults_options / counters_options:
+        One of :data:`FIDELITIES`.  ``"analytic"`` uses closed-form
+        Algorithm-1 latency constants; ``"cycle"`` calibrates them from
+        the command-level DRAM/PIM simulation (memoized per hardware
+        config); ``"auto"`` picks per the DESIGN.md §7 rules (cycle for
+        device-level warmed measurements on PIM systems, analytic
+        otherwise) or per a ``fidelity_options["profile"]``.
+    counters:
+        One of :data:`COUNTERS`.  ``"none"`` disables counter collection
+        at zero overhead; ``"typed"`` rolls the :mod:`repro.counters`
+        taxonomy into ``RunResult.counters``.
+    scheduler / faults:
+        Registered component names for the serving scheduler and the
+        fault-injection plan (``"none"`` disables injection at zero
+        overhead; ``"seeded"`` draws a deterministic plan from
+        ``faults_options["seed"]``).  Like ``system`` and
+        ``traffic.kind``, these resolve through :mod:`repro.registry`,
+        so a ``@register("scheduler", "my-policy")`` class sweeps like
+        any built-in.  The paged KV allocators need no name: they follow
+        ``serving.paged_kv`` / ``kv_block_tokens`` /
+        ``kv_capacity_bytes``.
+    system_options / scheduler_options / traffic_options /
+    faults_options:
         Per-component option dicts forwarded to the factories at
         materialization.  Accepted as plain dicts, stored as canonical
         frozen pairs (specs stay hashable/picklable), and JSON
         round-tripped as dicts by :meth:`to_dict` / :meth:`from_dict`.
+    fidelity_options:
+        Stored like the component option dicts; its only key is
+        ``"profile"``, a :class:`~repro.counters.profile.
+        FidelityProfile` payload for ``fidelity="auto"``.
     label:
         Optional display name for tables and sweep records.
     """
@@ -340,39 +352,47 @@ class ScenarioSpec:
     serving: ServingSpec = field(default_factory=ServingSpec)
     fidelity: str = "auto"
     scheduler: str = "iteration"
-    kv: str = "paged"
     faults: str = "none"
     counters: str = "none"
     system_options: FrozenOptions = ()
     scheduler_options: FrozenOptions = ()
     traffic_options: FrozenOptions = ()
-    kv_options: FrozenOptions = ()
     fidelity_options: FrozenOptions = ()
     faults_options: FrozenOptions = ()
-    counters_options: FrozenOptions = ()
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
-        # Component names normalize to lower case (registry lookups are
+        # Names normalize to lower case (registry lookups are
         # case-insensitive) so the downstream comparisons — energy
         # anchors, feature forcing, fidelity rules — see one spelling.
-        for name in ("system", "scheduler", "kv", "fidelity", "faults",
-                     "counters"):
+        for name in ("system", "scheduler", "faults"):
             value = getattr(self, name)
             if not isinstance(value, str):
                 raise ValueError(f"{name} must be a component name "
                                  f"string, got {type(value).__name__}")
-            object.__setattr__(self, name, value.lower())
-        get_component("system", self.system)  # raises with known names
-        get_component("scheduler", self.scheduler)
-        get_component("kv", self.kv)
-        get_component("faults", self.faults)
-        get_component("counters", self.counters)
-        if self.fidelity != "auto":
-            get_component("fidelity", self.fidelity)
+            value = value.lower()
+            object.__setattr__(self, name, value)
+            get_component(name, value)  # raises with known names
+        for name, known in (("fidelity", FIDELITIES),
+                            ("counters", COUNTERS)):
+            value = getattr(self, name)
+            if isinstance(value, str):
+                value = value.lower()
+            if value not in known:
+                raise ValueError(f"unknown {name} setting {value!r}; "
+                                 f"known: {list(known)}")
+            object.__setattr__(self, name, value)
         for name in _OPTION_FIELDS:
             object.__setattr__(self, name,
                                freeze_options(getattr(self, name)))
+        unknown = sorted(key for key, _ in self.fidelity_options
+                         if key not in _FIDELITY_OPTION_KEYS)
+        if unknown:
+            raise ValueError(f"unknown fidelity option(s) {unknown}; "
+                             f"known: {list(_FIDELITY_OPTION_KEYS)}")
+        if self.fidelity_options and self.fidelity != "auto":
+            raise ValueError("fidelity_options['profile'] only applies "
+                             "to fidelity='auto'")
         if isinstance(self.model, str) and self.model.lower() not in \
                 MODEL_REGISTRY:
             get_model(self.model)  # raises with the known-model list
@@ -427,9 +447,10 @@ class ScenarioSpec:
     def options_for(self, kind: str) -> Dict[str, Any]:
         """The plain option dict for one component kind.
 
-        ``kind`` is one of ``"system"``, ``"scheduler"``, ``"traffic"``
-        or ``"kv"``; the stored frozen pairs thaw back into the dict a
-        factory call consumes.
+        ``kind`` is one of ``"system"``, ``"scheduler"``, ``"traffic"``,
+        ``"faults"`` or ``"fidelity"``; the stored frozen pairs thaw
+        back into the dict a factory call (or, for ``"fidelity"``, the
+        profile lookup of :meth:`resolve_fidelity`) consumes.
         """
         field_name = f"{kind}_options"
         if field_name not in _OPTION_FIELDS:
@@ -515,7 +536,8 @@ class ScenarioSpec:
         """Encode as a JSON-serializable plain dict.
 
         Component fields at their defaults (``scheduler="iteration"``,
-        ``kv="paged"``, empty option dicts) are omitted, so specs that
+        ``faults="none"``, ``counters="none"``, empty option dicts) are
+        omitted, so specs that
         use only built-in components keep the exact JSON shape they had
         before the registry existed — old payloads load unchanged and
         new payloads stay diff-clean.
@@ -527,7 +549,7 @@ class ScenarioSpec:
                 data[name] = thaw_options(frozen)
             else:
                 del data[name]
-        for name, default in _COMPONENT_DEFAULTS:
+        for name, default in _PRUNED_DEFAULTS:
             if data[name] == default:
                 del data[name]
         serving_data = data.get("serving")
@@ -571,7 +593,7 @@ class ScenarioSpec:
         elif "config" in data:
             kwargs["config"] = None
         for name in ("system", "tp", "pp", "layers_resident", "fidelity",
-                     "scheduler", "kv", "faults", "counters", "label"):
+                     "scheduler", "faults", "counters", "label"):
             if name in data:
                 kwargs[name] = data[name]
         for name in _OPTION_FIELDS:

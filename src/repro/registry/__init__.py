@@ -1,10 +1,12 @@
 """Pluggable component registry — the scenario API's parts bin.
 
-Scenario specs name their ingredients as strings (``system="neupims"``,
-``scheduler="iteration"``, ``traffic="poisson"``, ``kv="paged"``,
-``fidelity="cycle"``); this package maps those names to factories.  The
-process-wide :data:`REGISTRY` is pre-populated with every built-in
-component on import, and user code extends it with :func:`register`::
+Scenario specs name their pluggable ingredients as strings
+(``system="neupims"``, ``scheduler="iteration"``, ``traffic="poisson"``,
+``faults="seeded"``, and a fleet's ``policy="least-loaded"``); this
+package maps those names to factories, one table per kind in
+:data:`KINDS`.  The process-wide :data:`REGISTRY` is pre-populated with
+every built-in component on import, and user code extends it with
+:func:`register`::
 
     from repro.registry import register
 

@@ -1,4 +1,5 @@
-"""Built-in component registrations (systems, schedulers, traffic, KV).
+"""Built-in component registrations (systems, schedulers, traffic,
+fault plans, fleet routers).
 
 Importing :mod:`repro.registry` loads this module once, populating the
 process-wide :data:`~repro.registry.REGISTRY` with every component the
@@ -14,12 +15,11 @@ Factory calling conventions (the registration contract, DESIGN.md §8):
   surface (``assign_channels`` / ``attach_load_tracker`` /
   ``channel_pool`` / ``prepare_class_plan``) the serving stack probes
   for.  ``estimator`` is the cycle-fidelity Algorithm-1 estimator or
-  ``None``; factories for systems without a PIM estimator reject a
-  non-``None`` value.
+  ``None`` (the session picks it from the spec's ``fidelity``);
+  factories for systems without a PIM estimator reject a non-``None``
+  value.
 * ``traffic``: ``factory(traffic_spec, **options) -> Workload`` — either
   warmed measurement ``batches`` or streaming ``arrivals``.
-* ``kv``: ``factory(model_spec, serving_spec, channels, *,
-  layers_resident, **options) -> list of per-channel allocators``.
 * ``scheduler``: ``factory(**wiring, **options) -> scheduler`` where the
   wiring kwargs are exactly :class:`~repro.serving.scheduler.
   IterationScheduler`'s constructor parameters (pool, executor,
@@ -29,8 +29,6 @@ Factory calling conventions (the registration contract, DESIGN.md §8):
   the scheduler itself charges fault penalties and the latency hook and
   feeds the latency tracker, so custom policies usually subclass
   ``IterationScheduler`` and accept extra options.
-* ``fidelity``: ``factory(session, **options) -> estimator or None`` —
-  ``None`` means the device's closed-form constants.
 * ``faults``: ``factory(serving_spec, channels, **options) ->
   FaultInjector or None`` — ``None`` (the ``"none"`` builtin) means no
   fault injection and the session skips the resilience runtime
@@ -39,17 +37,17 @@ Factory calling conventions (the registration contract, DESIGN.md §8):
 * ``router``: ``factory(num_nodes, **options) -> RoutingPolicy`` — the
   fleet dispatch policy of the cluster tier (:mod:`repro.cluster`);
   ``num_nodes`` is the fleet size.
-* ``counters``: ``factory(session, **options) -> CounterCollector or
-  None`` — ``None`` (the ``"none"`` builtin) means no counter
-  collection and every producer skips its charging branch entirely,
-  the same zero-overhead-when-disabled discipline as the faults and
-  event layers.
+
+The paged KV allocators, the fidelity tier and typed counters are not
+components: the paper has one KV layout, two fidelity tiers and counters
+that are on or off, so they are plain :class:`~repro.api.spec.
+ScenarioSpec` fields the session wires directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Tuple
 
 from repro.registry.core import ComponentRegistry
 
@@ -80,12 +78,9 @@ def register_builtins(registry: ComponentRegistry) -> None:
     """Populate ``registry`` with every component the repo ships."""
     _register_systems(registry)
     _register_traffic(registry)
-    _register_kv(registry)
     _register_schedulers(registry)
-    _register_fidelity(registry)
     _register_faults(registry)
     _register_routers(registry)
-    _register_counters(registry)
 
 
 # ----------------------------------------------------------------------
@@ -214,32 +209,6 @@ def _register_traffic(registry: ComponentRegistry) -> None:
 
 
 # ----------------------------------------------------------------------
-# KV allocators.
-# ----------------------------------------------------------------------
-
-def _register_kv(registry: ComponentRegistry) -> None:
-    def paged(model_spec, serving, channels, *, layers_resident,
-              **options):
-        """vLLM-style per-channel paged KV allocators."""
-        from repro.serving.paging import PagedKvConfig, channel_allocators
-        config = PagedKvConfig(
-            block_tokens=options.pop("block_tokens",
-                                     serving.kv_block_tokens),
-            capacity_bytes=options.pop("capacity_bytes",
-                                       serving.kv_capacity_bytes))
-        if options:
-            raise ValueError(f"unknown paged KV option(s) "
-                             f"{sorted(options)}")
-        return channel_allocators(config, model_spec, channels,
-                                  layers_resident=layers_resident)
-
-    registry.register("kv", "paged", paged,
-                      option_names=("block_tokens", "capacity_bytes"),
-                      description="per-channel paged KV allocation "
-                                  "(admission control)")
-
-
-# ----------------------------------------------------------------------
 # Schedulers.
 # ----------------------------------------------------------------------
 
@@ -252,49 +221,6 @@ def _register_schedulers(registry: ComponentRegistry) -> None:
     registry.register("scheduler", "iteration", iteration,
                       description="iteration-level scheduling with "
                                   "selective batching (Orca-style)")
-
-
-# ----------------------------------------------------------------------
-# Fidelity engines.
-# ----------------------------------------------------------------------
-
-def _register_fidelity(registry: ComponentRegistry) -> None:
-    def analytic(session, **options):
-        """Closed-form Algorithm-1 latency constants (no calibration)."""
-        if options:
-            raise ValueError(f"unknown analytic fidelity option(s) "
-                             f"{sorted(options)}")
-        return None
-
-    def cycle(session, **options):
-        """Constants calibrated from the command-level DRAM/PIM sim."""
-        if options:
-            raise ValueError(f"unknown cycle fidelity option(s) "
-                             f"{sorted(options)}")
-        return session.calibrated_estimator()
-
-    def auto(session, **options):
-        """Profile-guided tier choice (refutation-backed PGO loop)."""
-        # The "profile" payload is consumed by the spec's
-        # resolve_fidelity(); everything else is unknown.
-        options.pop("profile", None)
-        if options:
-            raise ValueError(f"unknown auto fidelity option(s) "
-                             f"{sorted(options)}")
-        if session.spec.resolve_fidelity() == "cycle":
-            return session.calibrated_estimator()
-        return None
-
-    registry.register("fidelity", "analytic", analytic,
-                      description="closed-form latency constants")
-    registry.register("fidelity", "cycle", cycle,
-                      description="command-level calibrated constants "
-                                  "(memoized per config)")
-    registry.register("fidelity", "auto", auto,
-                      option_names=("profile",),
-                      description="profile-guided analytic/cycle choice "
-                                  "per scenario region "
-                                  "(repro.counters.profile)")
 
 
 # ----------------------------------------------------------------------
@@ -324,33 +250,6 @@ def _register_faults(registry: ComponentRegistry) -> None:
                       description="seeded deterministic fault plan "
                                   "(channel degrade/stall, KV windows, "
                                   "request aborts)")
-
-
-# ----------------------------------------------------------------------
-# Typed counters.
-# ----------------------------------------------------------------------
-
-def _register_counters(registry: ComponentRegistry) -> None:
-    def none(session, **options):
-        """No counter collection — the zero-overhead default."""
-        if options:
-            raise ValueError(f"unknown counters option(s) "
-                             f"{sorted(options)} for 'none'")
-        return None
-
-    def typed(session, **options):
-        """Typed counter vectors (repro.counters taxonomy)."""
-        from repro.counters.collect import CounterCollector
-        if options:
-            raise ValueError(f"unknown typed counters option(s) "
-                             f"{sorted(options)}")
-        return CounterCollector()
-
-    registry.register("counters", "none", none,
-                      description="no counter collection (default)")
-    registry.register("counters", "typed", typed,
-                      description="typed hardware counter vectors "
-                                  "rolled into RunResult.counters")
 
 
 # ----------------------------------------------------------------------

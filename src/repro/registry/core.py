@@ -1,8 +1,8 @@
 """The component registry: named, introspectable factories.
 
-Every scenario ingredient — the system under test, the serving
-scheduler, the traffic model, the KV allocator family, the fidelity
-engine — is a *component*: a named factory registered under one of the
+The pluggable scenario ingredients — the system under test, the
+serving scheduler, the traffic model, the fault plan and the fleet
+router — are *components*: named factories registered under one of the
 :data:`KINDS`.  :class:`~repro.api.spec.ScenarioSpec` stores component
 **names** (plain strings) plus per-component **option dicts**, and
 :class:`~repro.api.session.Session` resolves both through the registry
@@ -37,8 +37,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Tuple, Union)
 
 #: The component kinds a scenario is assembled from.
-KINDS = ("system", "scheduler", "traffic", "kv", "fidelity", "faults",
-         "router", "counters")
+KINDS = ("system", "scheduler", "traffic", "faults", "router")
 
 #: Canonical frozen encoding of an option dict: sorted ``(key, value)``
 #: pairs, with nested mappings/sequences frozen recursively.

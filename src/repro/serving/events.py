@@ -21,8 +21,8 @@ clock in cycles at emission.  The taxonomy:
 * :class:`WindowCommitted` — a group-commit steady-state window was
   synchronized back to per-request state (grouped engine only).
 * :class:`CountersSampled` — one iteration's typed counter vector
-  (:mod:`repro.counters` taxonomy), emitted when a ``counters``
-  component is materialized on the session; carries canonical sorted
+  (:mod:`repro.counters` taxonomy), emitted when the session runs
+  with ``counters="typed"``; carries canonical sorted
   pairs so subscribers can fold them into a
   :class:`~repro.counters.report.CounterReport` directly.
 * :class:`FaultInjected` / :class:`NodeDegraded` /

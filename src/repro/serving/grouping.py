@@ -51,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.serving.paging import PagedKvAllocator
 
 #: Valid values of the serving/scheduler ``grouping`` knob.
-GROUPING_MODES = ("auto", "on", "off")
+GROUPING_MODES = ("auto", "off")
 
 #: Sorted ``(channel, seq_len, count)`` triples — the canonical MHA view.
 MhaHistogram = Tuple[Tuple[int, int, int], ...]

@@ -18,7 +18,7 @@ until their bucket actually changes.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.serving.grouping import ClassKey, class_histogram
 from repro.serving.request import InferenceRequest, RequestStatus
@@ -185,6 +185,10 @@ class RequestPool:
 
     def __len__(self) -> int:
         return len(self._requests)
+
+    def __iter__(self) -> Iterator[InferenceRequest]:
+        """Every pooled request, in any status."""
+        return iter(self._requests.values())
 
     def __contains__(self, request_id: int) -> bool:
         return request_id in self._requests

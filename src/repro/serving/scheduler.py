@@ -116,8 +116,8 @@ class IterationScheduler:
         packing starts from up-to-date per-channel loads without
         re-estimating the whole resident set each iteration.
     grouping / grouped:
-        The equivalence-class fast path.  With ``grouping`` ``"auto"`` or
-        ``"on"`` and a :class:`~repro.serving.grouping.GroupedExecutor`,
+        The equivalence-class fast path.  With ``grouping="auto"`` and a
+        :class:`~repro.serving.grouping.GroupedExecutor`,
         steady-state iterations (no retirements, no admissible arrivals,
         enough KV blocks for the batched growth) commit through the
         class-grouped engine: the iteration latency comes from the frozen
@@ -181,8 +181,6 @@ class IterationScheduler:
         if grouping not in GROUPING_MODES:
             raise ValueError(f"unknown grouping mode {grouping!r}; "
                              f"known: {GROUPING_MODES}")
-        if grouping == "on" and grouped is None:
-            raise ValueError("grouping='on' requires a GroupedExecutor")
         self.pool = pool
         self.executor = executor
         self.max_batch_size = max_batch_size
@@ -199,6 +197,10 @@ class IterationScheduler:
         #: Terminal outcome per retired request id (``completed`` /
         #: ``timed_out`` / ``shed`` / ``aborted``).
         self.outcomes: Dict[int, str] = {}
+        #: KV blocks of every request context that has left this stack
+        #: (retired, terminated or released), sized when it left; the
+        #: departed part of the typed ``kv.page_churn`` counter.
+        self.kv_page_churn = 0
         self._now = 0.0
         self._grouped_state: Optional[GroupedScheduleState] = None
 
@@ -273,9 +275,12 @@ class IterationScheduler:
             return 0
         done = self.pool.retire_finished()
         for request in done:
-            if (self.allocators is not None
-                    and request.channel is not None):
-                self.allocators[request.channel].release(request.request_id)
+            if self.allocators is not None:
+                self.kv_page_churn += self.allocators[0].blocks_for(
+                    request.seq_len)
+                if request.channel is not None:
+                    self.allocators[request.channel].release(
+                        request.request_id)
             if self.load_tracker is not None:
                 self.load_tracker.remove(request)
             self.outcomes[request.request_id] = "completed"
@@ -319,8 +324,11 @@ class IterationScheduler:
         if self.load_tracker is not None and \
                 request.status is RequestStatus.RUNNING:
             self.load_tracker.remove(request)
-        if self.allocators is not None and request.channel is not None:
-            self.allocators[request.channel].release(rid)
+        if self.allocators is not None:
+            self.kv_page_churn += self.allocators[0].blocks_for(
+                request.seq_len)
+            if request.channel is not None:
+                self.allocators[request.channel].release(rid)
         self.pool.evict(rid)
         if self.resilience is not None:
             self.resilience.attempts.pop(rid, None)

@@ -190,12 +190,13 @@ class TestComponents:
         out = tmp_path / "components.json"
         assert main(["components", "--json", str(out)]) == 0
         table = capsys.readouterr().out
-        for name in ("neupims", "iteration", "poisson", "paged", "cycle"):
+        for name in ("neupims", "iteration", "poisson", "seeded",
+                     "least-loaded"):
             assert name in table
         payload = read_json(out)
         kinds = {entry["kind"] for entry in payload}
-        assert kinds == {"system", "scheduler", "traffic", "kv",
-                         "fidelity", "faults", "router", "counters"}
+        assert kinds == {"system", "scheduler", "traffic", "faults",
+                         "router"}
 
     def test_kind_filter_and_bad_kind(self, capsys):
         assert main(["components", "--kind", "scheduler"]) == 0

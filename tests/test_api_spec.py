@@ -207,21 +207,21 @@ class TestComponentFields:
     def test_unknown_component_names_rejected(self):
         with pytest.raises(ValueError, match="unknown scheduler"):
             ScenarioSpec(scheduler="fifo")
-        with pytest.raises(ValueError, match="unknown kv"):
-            ScenarioSpec(kv="slab")
+        with pytest.raises(ValueError, match="unknown faults"):
+            ScenarioSpec(faults="meteor")
 
     def test_builtin_only_specs_keep_their_json_shape(self):
         # The registry redesign must not disturb existing payloads: a
         # spec using only built-in component names serializes exactly as
         # it did before the component fields existed.
         payload = ScenarioSpec(fidelity="analytic").to_dict()
-        for name in ("scheduler", "kv", "system_options",
+        for name in ("scheduler", "faults", "counters", "system_options",
                      "scheduler_options", "traffic_options",
-                     "kv_options", "fidelity_options"):
+                     "fidelity_options", "faults_options"):
             assert name not in payload
         explicit_defaults = ScenarioSpec(fidelity="analytic",
                                          scheduler="iteration",
-                                         kv="paged",
+                                         faults="none", counters="none",
                                          scheduler_options={})
         assert explicit_defaults.to_dict() == payload
 
@@ -229,7 +229,7 @@ class TestComponentFields:
         spec = ScenarioSpec(
             system_options={"channel_pool": 8},
             scheduler_options={"window": 4, "nested": {"a": [1, 2]}},
-            kv_options={"block_tokens": 32},
+            faults_options={"seed": 3},
             fidelity="analytic")
         payload = json.loads(json.dumps(spec.to_dict()))
         assert payload["scheduler_options"] == {"window": 4,
@@ -249,11 +249,12 @@ class TestComponentFields:
 
     def test_override_routes_component_fields(self):
         derived = ScenarioSpec().override(
-            scheduler_options={"window": 3}, kv_options={"block_tokens": 8})
+            scheduler_options={"window": 3}, faults_options={"seed": 8})
         assert derived.options_for("scheduler") == {"window": 3}
-        assert derived.options_for("kv") == {"block_tokens": 8}
-        with pytest.raises(ValueError, match="no options for"):
-            derived.options_for("serving")
+        assert derived.options_for("faults") == {"seed": 8}
+        for kind in ("serving", "kv", "counters"):
+            with pytest.raises(ValueError, match="no options for"):
+                derived.options_for(kind)
 
     def test_unknown_keys_still_rejected_with_component_fields(self):
         # Regression: from_dict must never silently ignore a bad key —
@@ -269,3 +270,43 @@ class TestComponentFields:
         spec = ScenarioSpec(scheduler_options={"window": 3},
                             system_options={"channel_pool": 4})
         assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+class TestPlainFields:
+    """``fidelity`` and ``counters`` are checked when the spec is built."""
+
+    @pytest.mark.parametrize("name, known", [
+        ("counters", ("none", "typed")),
+        ("fidelity", ("analytic", "cycle", "auto"))])
+    def test_unknown_value_lists_known_values(self, name, known):
+        with pytest.raises(ValueError) as err:
+            ScenarioSpec(**{name: "bogus"})
+        message = str(err.value)
+        assert "bogus" in message
+        assert all(value in message for value in known)
+
+    def test_unknown_fidelity_option_named_at_construction(self):
+        with pytest.raises(ValueError, match="samples"):
+            ScenarioSpec(fidelity_options={"samples": 3})
+        with pytest.raises(ValueError, match="samples"):
+            ScenarioSpec(fidelity="analytic",
+                         fidelity_options={"samples": 3})
+
+    def test_profile_only_applies_to_auto(self):
+        with pytest.raises(ValueError, match="auto"):
+            ScenarioSpec(fidelity="cycle",
+                         fidelity_options={"profile": {}})
+
+    @pytest.mark.parametrize("name, value", [
+        ("kv", "paged"), ("kv_options", {"block_tokens": 32}),
+        ("counters_options", {})])
+    def test_removed_fields_rejected_on_load(self, name, value):
+        payload = ScenarioSpec().to_dict()
+        payload[name] = value
+        with pytest.raises(ValueError, match="unknown ScenarioSpec field"):
+            ScenarioSpec.from_dict(payload)
+
+    def test_mixed_case_values_normalize(self):
+        spec = ScenarioSpec(counters="TYPED", fidelity="Cycle")
+        assert (spec.counters, spec.fidelity) == ("typed", "cycle")
+        assert spec == ScenarioSpec(counters="typed", fidelity="cycle")

@@ -1,15 +1,15 @@
 """The cross-fidelity counters subsystem: taxonomy, conservation, PGO.
 
-Covers the eighth registry kind end to end:
+Covers the ``counters="typed"`` spec field end to end:
 
 * the frozen :class:`~repro.counters.report.CounterReport` (canonical
   pairs, merge/drift arithmetic, JSON round trips);
-* the spec-layer satellite — ``counters``/``counters_options`` fields
-  with frozen-canonical-pairs discipline and the pre-counters JSON
-  shape of built-in-only payloads;
+* the spec layer — the plain ``counters`` field and the pre-counters
+  JSON shape of built-in-only payloads;
 * conservation invariants — identical :class:`CounterReport`\\ s across
   ``drain_fast`` on/off, grouping ``auto``/``off``, stream vs batch
   consumption, and the 1-node fleet rollup vs a plain ``Session``;
+  KV page churn charged once per pool stay under fleet failover;
 * latency hooks — a degrade hook scales simulated time but leaves the
   device-level counters alone, and grouped windows stay bit-identical
   to the per-request path under it;
@@ -25,8 +25,8 @@ import pytest
 
 from repro.api.session import RunResult, Session
 from repro.api.spec import ScenarioSpec, TrafficSpec
-from repro.counters import (COUNTER_NAMES, CounterCollector, CounterReport,
-                            FidelityProfile, region_key, spec_region)
+from repro.counters import (COUNTER_NAMES, CounterReport, FidelityProfile,
+                            region_key, spec_region)
 from repro.counters.refute import (DEFAULT_BOUNDS, REGIONS, fine_wave_pitch,
                                    predict_gemv_counters, run_refute)
 from repro.serving.events import WindowCommitted
@@ -80,19 +80,6 @@ class TestCounterReport:
         assert CounterReport().drift(CounterReport()) == {}
 
 
-class TestCounterCollector:
-    def test_charge_and_snapshot(self):
-        collector = CounterCollector()
-        collector.charge({"a": 1.0, "b": 2.0})
-        collector.charge({"a": 1.0}, scale=3.0)
-        collector.charge_one("c", 0.5)
-        assert collector.snapshot() == {"a": 4.0, "b": 2.0, "c": 0.5}
-        assert collector.report() == CounterReport.from_mapping(
-            {"a": 4.0, "b": 2.0, "c": 0.5})
-        collector.reset()
-        assert not collector.report()
-
-
 # ----------------------------------------------------------------------
 # Spec-layer satellite.
 # ----------------------------------------------------------------------
@@ -102,7 +89,6 @@ class TestSpecCountersFields:
         """Built-in-only payloads keep their exact pre-counters shape."""
         payload = ScenarioSpec().to_dict()
         assert "counters" not in payload
-        assert "counters_options" not in payload
 
     def test_round_trip_with_counters(self):
         spec = ScenarioSpec(counters="typed")
@@ -131,14 +117,16 @@ class TestSpecCountersFields:
         with pytest.raises(ValueError, match="pp"):
             ScenarioSpec(counters="typed", pp=2)
 
-    def test_component_factories(self):
-        session = Session(ScenarioSpec())
-        from repro.registry import REGISTRY
-        assert REGISTRY.create("counters", "none", session) is None
-        created = REGISTRY.create("counters", "typed", session)
-        assert isinstance(created, CounterCollector)
-        with pytest.raises(ValueError, match="unknown"):
-            REGISTRY.create("counters", "typed", session, bogus=1)
+    def test_session_counters_are_plain_totals(self):
+        assert Session(ScenarioSpec()).counters is None
+        session = Session(serving_spec())
+        assert session.counters == {}
+        report = session.run().counters.as_dict()
+        # The session's totals are the iteration charges; the report
+        # adds the KV page churn on top.
+        assert report.pop("kv.page_churn") > 0
+        assert CounterReport.from_mapping(session.counters).as_dict() == \
+            report
 
 
 # ----------------------------------------------------------------------
@@ -209,6 +197,61 @@ class TestConservation:
         assert session.counters is None
         assert not result.counters
         assert "counters" not in result.to_dict()
+
+    def test_released_request_charged_at_release_context(self):
+        """A request handed to another node costs its origin only the
+        KV blocks of the context it had when it left."""
+        from repro.serving.request import InferenceRequest
+        spec = serving_spec(traffic=TrafficSpec(kind="external"))
+        origin = Session(spec).materialize()
+        target = Session(spec).materialize()
+        request = InferenceRequest(request_id=0, input_len=30,
+                                   output_len=40)
+        origin.pool.submit(request)
+        for _ in range(3):
+            origin.step()
+        origin.scheduler.sync_grouped()
+        released_at = request.seq_len
+        origin.scheduler.release_request(request)
+        target.pool.submit(request)
+        target.run()
+        blocks_for = origin.allocators[0].blocks_for
+        assert blocks_for(released_at) < blocks_for(request.seq_len)
+        assert origin.result().counters.get("kv.page_churn") == \
+            blocks_for(released_at)
+        assert target.result().counters.get("kv.page_churn") == \
+            blocks_for(request.seq_len)
+
+    def test_fleet_failover_charges_each_pool_stay_once(self):
+        """Fleet churn = final contexts + contexts at each failover."""
+        from repro.cluster import FleetSpec, Router
+        from repro.serving.events import RequestFailedOver
+        node = serving_spec(layers_resident=2)
+        router = Router(FleetSpec.homogeneous(
+            node, 3, policy="least-loaded",
+            traffic=TrafficSpec.poisson(rate_per_kcycle=0.02,
+                                        horizon_cycles=2e6, seed=5,
+                                        max_requests=40),
+            fault_seed=2, fault_options={"horizon": 2e6, "downs": 1}))
+        router.materialize()
+        requests = {r.request_id: r for r in router.stream}
+        released = []
+
+        def on_failover(event):
+            assert event.to_node >= 0  # re-routed, not queued
+            released.append((event.request_id,
+                             requests[event.request_id].seq_len))
+
+        router.events.subscribe(RequestFailedOver, on_failover)
+        result = router.run()
+        blocks_for = router.handles[0].session.allocators[0].blocks_for
+        # Some failed-over request grew past a block boundary later on.
+        assert any(blocks_for(context) < blocks_for(requests[rid].seq_len)
+                   for rid, context in released)
+        expected = sum(blocks_for(r.seq_len) for r in requests.values()) \
+            + sum(blocks_for(context) for _, context in released)
+        churn = sum(n.counters.get("kv.page_churn") for n in result.nodes)
+        assert churn == expected
 
 
 # ----------------------------------------------------------------------

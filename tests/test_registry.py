@@ -187,43 +187,46 @@ class TestCustomComponents:
         session = Session(spec).materialize()
         assert session.device.channel_pool == 8
 
-    def test_kv_options_override_serving_knobs(self):
+    def test_serving_kv_knobs_reach_allocators(self):
         spec = _custom_spec(scheduler="iteration", scheduler_options={},
-                            kv_options={"block_tokens": 32})
+                            kv_block_tokens=32, kv_capacity_bytes=1 << 24)
         session = Session(spec).materialize()
-        assert all(a.config.block_tokens == 32 for a in session.allocators)
+        assert all(a.config.block_tokens == 32 and
+                   a.config.capacity_bytes == 1 << 24
+                   for a in session.allocators)
+        assert Session(_custom_spec(paged_kv=False)).materialize() \
+            .allocators is None
 
     def test_unknown_kv_option_rejected(self):
-        spec = _custom_spec(kv_options={"blocc_tokens": 32})
-        with pytest.raises(ValueError, match="blocc_tokens"):
-            Session(spec).materialize()
+        # The paged KV allocators are no component, so kv / kv_options
+        # are unknown fields (JSON loads: tests/test_api_spec.py).
+        with pytest.raises(ValueError, match="kv_options"):
+            _custom_spec(kv_options={"block_tokens": 32})
+        with pytest.raises(TypeError, match="kv"):
+            ScenarioSpec(kv="paged")
 
-    def test_fidelity_options_reach_the_engine(self):
-        # Builtin engines accept no options and must say so by name ...
-        spec = ScenarioSpec(fidelity="analytic",
-                            fidelity_options={"samples": 3},
-                            traffic=TrafficSpec.warmed(batch_size=4),
-                            model="gpt3-7b", layers_resident=2)
-        with pytest.raises(ValueError, match="samples"):
-            Session(spec).materialize()
-        # ... while a registered engine receives them.
-        received = {}
+    def test_fidelity_options_reach_the_engine(self, monkeypatch):
+        # The profile is the only fidelity option; it picks the tier,
+        # and only the cycle tier calibrates the device's estimator.
+        from repro.counters import FidelityProfile
+        calibrated = []
+        calibrate = Session.calibrated_estimator
 
-        def tunable(session, **options):
-            received.update(options)
-            return None
+        def recording(session):
+            calibrated.append(session.spec)
+            return calibrate(session)
 
-        REGISTRY.register("fidelity", "tunable-test", tunable,
-                          replace=True)
-        try:
-            Session(ScenarioSpec(fidelity="tunable-test",
-                                 fidelity_options={"samples": 3},
-                                 traffic=TrafficSpec.warmed(batch_size=4),
-                                 model="gpt3-7b",
-                                 layers_resident=2)).materialize()
-            assert received == {"samples": 3}
-        finally:
-            unregister("fidelity", "tunable-test")
+        monkeypatch.setattr(Session, "calibrated_estimator", recording)
+        for default in ("cycle", "analytic"):
+            spec = ScenarioSpec(
+                fidelity="auto",
+                fidelity_options={
+                    "profile": FidelityProfile(default=default).to_dict()},
+                traffic=TrafficSpec.warmed(batch_size=4),
+                model="gpt3-7b", layers_resident=2)
+            session = Session(spec).materialize()
+            assert session.fidelity == default
+            assert (spec in calibrated) == (default == "cycle")
 
     def test_unknown_warmed_traffic_option_rejected(self):
         # Regression: multi-batch warmed traffic used to crash with a

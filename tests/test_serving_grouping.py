@@ -1,6 +1,6 @@
 """Equivalence-class serving engine: grouped == per-request, bit for bit.
 
-The grouped engine's contract is that ``grouping="auto"/"on"`` produces
+The grouped engine's contract is that ``grouping="auto"`` produces
 records and aggregates **bit-identical** to ``grouping="off"`` for every
 scenario.  These tests pin that contract across randomized Poisson and
 replay traces (a seeded-random property loop), the multi-device system
@@ -115,15 +115,6 @@ class TestRecordIdentity:
 
 
 class TestGroupingModes:
-    def test_on_requires_class_engine(self):
-        spec = ScenarioSpec(
-            system="gpu-only", layers_resident=2, model="gpt3-7b",
-            fidelity="analytic",
-            traffic=TrafficSpec.poisson(horizon_cycles=1e6),
-            serving=ServingSpec(grouping="on"))
-        with pytest.raises(ValueError, match="class-grouped"):
-            Session(spec).materialize()
-
     def test_auto_falls_back_for_baselines(self):
         base = ScenarioSpec(
             system="gpu-only", layers_resident=2, model="gpt3-7b",
@@ -141,14 +132,16 @@ class TestGroupingModes:
         with pytest.raises(ValueError, match="grouping"):
             IterationScheduler(pool, lambda batch: 1.0, 4,
                                grouping="sometimes")
-        with pytest.raises(ValueError, match="GroupedExecutor"):
-            IterationScheduler(pool, lambda batch: 1.0, 4, grouping="on")
+        # "auto" already groups wherever a class engine exists.
+        with pytest.raises(ValueError, match="grouping"):
+            ServingSpec(grouping="on")
 
     def test_grouping_knob_round_trips(self):
-        spec = ScenarioSpec(serving=ServingSpec(grouping="on"))
-        assert ScenarioSpec.from_dict(spec.to_dict()).serving.grouping == \
-            "on"
-        assert spec.override(grouping="off").serving.grouping == "off"
+        for mode in ("auto", "off"):
+            spec = ScenarioSpec(serving=ServingSpec(grouping=mode))
+            assert ScenarioSpec.from_dict(spec.to_dict()).serving \
+                .grouping == mode
+        assert spec.override(grouping="auto").serving.grouping == "auto"
 
 
 class TestGroupCommitWindows:
