@@ -27,8 +27,6 @@ from repro.core.overlap import HeadPipelineModel, OverlapTimeline
 from repro.core.planner import DeploymentPlan, PlanPoint, plan_deployment
 from repro.core.prefill import EndToEndResult, StandaloneNpu, end_to_end_request
 
-from repro.core.cluster import NeuPimsCluster, RoutingPolicy
-
 __all__ = [
     "ChannelLoadTracker",
     "channel_loads",
@@ -56,6 +54,4 @@ __all__ = [
     "EndToEndResult",
     "StandaloneNpu",
     "end_to_end_request",
-    "NeuPimsCluster",
-    "RoutingPolicy",
 ]

@@ -168,12 +168,6 @@ class ChannelLoadTracker:
         channel, seq_len = entry
         self._hist_remove(channel, seq_len)
 
-    def channel_histogram(self, channel: int) -> Dict[int, int]:
-        """The channel's live {seq_len: count} class histogram (copy)."""
-        if not 0 <= channel < self.num_channels:
-            raise ValueError(f"invalid channel {channel}")
-        return dict(self._hist[channel])
-
     def clear(self) -> None:
         """Forget every tracked request."""
         self._hist = [{} for _ in range(self.num_channels)]

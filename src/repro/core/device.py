@@ -34,6 +34,7 @@ from repro.core.binpack import (ChannelLoadTracker, greedy_min_load_assign,
                                 round_robin_assign)
 from repro.core.config import NeuPimsConfig
 from repro.core.estimator import MhaLatencyEstimator, analytic_latencies
+from repro.perf.cache import Memo
 from repro.perf.calibration import memoized_estimator
 from repro.core.partition import partition_batch
 from repro.model.layers import ffn_gemms, projection_gemm, qkv_generation_gemm
@@ -63,14 +64,6 @@ class IterationResult:
         if self.latency <= 0:
             return 0.0
         return min(1.0, self.busy.get(name, 0.0) / self.latency)
-
-    def bandwidth_utilization(self, effective_bandwidth: float,
-                              clock_hz: float = 1e9) -> float:
-        """External bandwidth utilization over the iteration."""
-        if self.latency <= 0:
-            return 0.0
-        seconds = self.latency / clock_hz
-        return min(1.0, self.external_bytes / (effective_bandwidth * seconds))
 
 
 @dataclass(frozen=True)
@@ -165,29 +158,23 @@ class NeuPimsDevice:
         #: assuming idle channels.
         self.load_tracker: Optional[ChannelLoadTracker] = None
         #: Optional analytic-tier counter model (see
-        #: :meth:`attach_counters`); when attached, iteration results are
-        #: annotated with typed counter vectors before entering the
-        #: replay memo, so memo hits replay counters too.
+        #: :meth:`attach_counters`); when attached, iteration results
+        #: carry typed counter vectors set before they enter the
+        #: iteration memo, so memo hits replay counters too.
         self.counter_model = None
         self._rr_cursor = 0
-        # Per-class MHA contributions, keyed by seq_len.  Every
-        # contribution (GEMV estimate, softmax time, internal KV bytes)
-        # is a pure function of seq_len under this device's fixed
-        # spec/config/estimator and independent of channel placement, so
-        # all requests in a (channel, seq_len) equivalence class share
-        # one entry and repeated mha_stage calls (sub-batches plus the
-        # serialized comparison under adaptive SBI) recompute nothing.
-        self._class_contrib: Dict[int, Tuple[float, float, float]] = {}
-        # Stage/iteration replay memos: GEMM stages are pure in the
-        # sub-batch token count, MHA stages pure in the class histogram,
-        # and whole iteration results pure in the plan signature — so a
-        # batch whose class signature recurs (steady-state decode,
-        # symmetric Algorithm-3 sub-batches, repeated warmed batches)
-        # replays the memoized result instead of re-simulating.
-        self._gemm_memo: Dict[int, GemmStage] = {}
-        self._mha_memo: Dict[MhaHistogram, MhaStageTiming] = {}
-        self._iteration_memo: Dict[Tuple, IterationResult] = {}
-        self._interleave_memo: Dict[Tuple, IterationResult] = {}
+        # Memos of pure one-argument functions under this device's fixed
+        # spec/config/estimator (DESIGN.md §3).  Per-class MHA
+        # contributions (GEMV estimate, softmax time, internal KV bytes)
+        # depend on seq_len only, not on channel placement, so every
+        # request of a (channel, seq_len) class shares one entry; GEMM
+        # stages depend on the sub-batch token count only; and whole
+        # iteration results on the plan signature only, so a recurring
+        # class signature (steady-state decode, repeated warmed batches)
+        # replays its result instead of re-simulating.
+        self._class_contrib = Memo(self._class_contribution, 32768)
+        self._gemm_memo = Memo(self._gemm_stage, 1024)
+        self._iteration_memo = Memo(self._iteration, 2048)
         # Scratch resources for the interleaved list scheduler (reset per
         # call; busy-interval recording off — only busy totals are read).
         self._res_npu_s = Resource("npu_s", record_intervals=False)
@@ -218,10 +205,12 @@ class NeuPimsDevice:
 
         Returns the :class:`~repro.counters.model.DeviceCounterModel`;
         subsequent iterations carry their counter vectors on
-        :attr:`IterationResult.counters`.
+        :attr:`IterationResult.counters`.  The iteration memo is dropped,
+        since results memoized before the attach carry no counters.
         """
         from repro.counters.model import DeviceCounterModel
         self.counter_model = DeviceCounterModel(self)
+        self._iteration_memo.clear()
         return self.counter_model
 
     # ------------------------------------------------------------------
@@ -268,11 +257,9 @@ class NeuPimsDevice:
         """
         if batch_tokens <= 0:
             raise ValueError("batch_tokens must be positive")
-        cached = self._gemm_memo.get(batch_tokens)
-        if cached is not None:
-            return cached
-        if len(self._gemm_memo) >= 1024:
-            self._gemm_memo.clear()
+        return self._gemm_memo[batch_tokens]
+
+    def _gemm_stage(self, batch_tokens: int) -> GemmStage:
         dtype = self.spec.dtype_bytes
         qkv = qkv_generation_gemm(self.spec, batch_tokens, self.tp)
         proj = projection_gemm(self.spec, batch_tokens, self.tp)
@@ -283,26 +270,18 @@ class NeuPimsDevice:
         bytes_moved = (qkv.bytes_moved(dtype) + proj.bytes_moved(dtype)
                        + sum(g.bytes_moved(dtype) for g in ffns))
         ideal = self.npu.systolic_busy_cycles(qkv, proj, *ffns)
-        stage = GemmStage(qkv_cycles=t_qkv, projffn_cycles=t_proj + t_ffn,
-                          external_bytes=float(bytes_moved),
-                          compute_cycles=float(ideal))
-        self._gemm_memo[batch_tokens] = stage
-        return stage
+        return GemmStage(qkv_cycles=t_qkv, projffn_cycles=t_proj + t_ffn,
+                         external_bytes=float(bytes_moved),
+                         compute_cycles=float(ideal))
 
     def _class_contribution(self, seq_len: int
                             ) -> Tuple[float, float, float]:
-        """One seq_len class's (estimate, softmax, KV bytes), memoized."""
-        entry = self._class_contrib.get(seq_len)
-        if entry is None:
-            if len(self._class_contrib) >= 32768:
-                self._class_contrib.clear()
-            entry = (
-                self.estimator.estimate(seq_len),
-                self.npu.softmax_latency(seq_len, self.spec.num_heads),
-                2.0 * seq_len * self.spec.d_model * self.spec.dtype_bytes,
-            )
-            self._class_contrib[seq_len] = entry
-        return entry
+        """One seq_len class's (estimate, softmax, KV bytes)."""
+        return (
+            self.estimator.estimate(seq_len),
+            self.npu.softmax_latency(seq_len, self.spec.num_heads),
+            2.0 * seq_len * self.spec.d_model * self.spec.dtype_bytes,
+        )
 
     def mha_stage(self, requests: Sequence[InferenceRequest]) -> MhaStageTiming:
         """MHA timing for a sub-batch already assigned to channels."""
@@ -319,9 +298,7 @@ class NeuPimsDevice:
         """
         if not hist:
             return MhaStageTiming(0.0, 0.0, 0.0, 0.0)
-        cached = self._mha_memo.get(hist)
-        if cached is not None:
-            return cached
+        contrib = self._class_contrib
         loads: Dict[int, float] = {}
         raw_total = 0.0
         softmax_total = 0.0
@@ -331,7 +308,7 @@ class NeuPimsDevice:
         dual_row_buffer = self.config.dual_row_buffer
         transfer_per_request = self._transfer_per_request
         for channel, seq_len, count in hist:
-            estimate, softmax, kv_bytes = self._class_contribution(seq_len)
+            estimate, softmax, kv_bytes = contrib[seq_len]
             batch_size += count
             raw_total += estimate * count
             load = estimate * overhead
@@ -348,15 +325,11 @@ class NeuPimsDevice:
         # channels (Table 4's accounting), so busy time is the mean
         # stall-free channel load.
         mean_raw = raw_total / self.channel_pool
-        result = MhaStageTiming(pim_cycles=pim_cycles,
-                                softmax_cycles=softmax_total,
-                                transfer_cycles=transfers,
-                                internal_bytes=internal_bytes,
-                                pim_busy_cycles=mean_raw)
-        if len(self._mha_memo) >= 4096:
-            self._mha_memo.clear()
-        self._mha_memo[hist] = result
-        return result
+        return MhaStageTiming(pim_cycles=pim_cycles,
+                              softmax_cycles=softmax_total,
+                              transfer_cycles=transfers,
+                              internal_bytes=internal_bytes,
+                              pim_busy_cycles=mean_raw)
 
     # ------------------------------------------------------------------
     # Iteration execution.
@@ -410,34 +383,32 @@ class NeuPimsDevice:
         device's fixed configuration.
         """
         hist = shift_histogram(plan.hist, shift)
-        if plan.split is not None and plan.split[0].size \
-                and plan.split[1].size:
-            sb1, sb2 = plan.split
-            sub1 = (sb1.size, shift_histogram(sb1.hist, shift))
-            sub2 = (sb2.size, shift_histogram(sb2.hist, shift))
-            signature = (plan.batch_size, hist, sub1, sub2)
-            cached = self._iteration_memo.get(signature)
-            if cached is not None:
-                return cached
-            result = self._interleaved_classes(sub1, sub2)
+        split = plan.split
+        if split is not None and split[0].size and split[1].size:
+            sb1, sb2 = split
+            return self._iteration_memo[(
+                plan.batch_size, hist,
+                (sb1.size, shift_histogram(sb1.hist, shift)),
+                (sb2.size, shift_histogram(sb2.hist, shift)))]
+        return self._iteration_memo[(plan.batch_size, hist)]
+
+    def _iteration(self, signature: Tuple) -> IterationResult:
+        """The iteration result of a ``(batch_size, hist[, sub1, sub2])``
+        plan signature, with its counter vector when counters are on."""
+        batch_size, hist = signature[0], signature[1]
+        if len(signature) == 4:
+            result = self._interleaved_classes(signature[2], signature[3])
             if self.config.adaptive_sbi:
-                serialized = self._serialized_classes(plan.batch_size, hist)
+                serialized = self._serialized_classes(batch_size, hist)
                 if serialized.latency < result.latency:
                     result = serialized
         else:
-            signature = (plan.batch_size, hist)
-            cached = self._iteration_memo.get(signature)
-            if cached is not None:
-                return cached
-            result = self._serialized_classes(plan.batch_size, hist)
+            result = self._serialized_classes(batch_size, hist)
         if self.counter_model is not None:
-            # Annotate a copy (interleave-memo objects are shared across
-            # plan signatures) so the counter vector enters the replay
-            # memo with the timing — memo hits replay counters exactly.
-            result = self.counter_model.annotate(result, hist)
-        if len(self._iteration_memo) >= 2048:
-            self._iteration_memo.clear()
-        self._iteration_memo[signature] = result
+            # Every result here is a fresh object, so the counter vector
+            # is set in place and enters the memo with the timing.
+            result.counters = self.counter_model.iteration_counters(
+                hist, result.latency, result.busy.get("npu", 0.0))
         return result
 
     def _serialized_classes(self, batch_tokens: int,
@@ -463,13 +434,7 @@ class NeuPimsDevice:
     def _interleaved_classes(self, sub1: Tuple[int, MhaHistogram],
                              sub2: Tuple[int, MhaHistogram]
                              ) -> IterationResult:
-        """Figure 11(b): two sub-batches pipelined across NPU-S and PIM.
-
-        The list-scheduled timeline is a pure function of the two
-        sub-batches' frozen stage timings, so it is memoized on them —
-        decode plateaus where the stage scalars repeat (MHA hidden under
-        the GEMM stages) replay the schedule instead of re-running it.
-        """
+        """Figure 11(b): two sub-batches pipelined across NPU-S and PIM."""
         stage_plans: List[Tuple[GemmStage, MhaStageTiming]] = []
         gemm_bytes = 0.0
         internal_bytes = 0.0
@@ -481,10 +446,6 @@ class NeuPimsDevice:
             gemm_bytes += gemm.external_bytes * self.layers
             internal_bytes += mha.internal_bytes * self.layers
             compute_busy += gemm.compute_cycles * self.layers
-        memo_key = (stage_plans[0], stage_plans[1])
-        cached = self._interleave_memo.get(memo_key)
-        if cached is not None:
-            return cached
 
         npu_s = self._res_npu_s
         pim = self._res_pim
@@ -536,16 +497,12 @@ class NeuPimsDevice:
             "npu_vector": npu_v.busy_time,
             "pim": pim_busy,
         }
-        result = IterationResult(
+        return IterationResult(
             latency=latency,
             busy=busy,
             external_bytes=gemm_bytes,
             internal_pim_bytes=internal_bytes,
         )
-        if len(self._interleave_memo) >= 2048:
-            self._interleave_memo.clear()
-        self._interleave_memo[memo_key] = result
-        return result
 
     # ------------------------------------------------------------------
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from repro.perf.cache import Memo
 from repro.pim.gemv import ca_bus_cost, mha_gemv_ops
 
 
@@ -29,8 +30,8 @@ class DeviceCounterModel:
     """Computes typed counter vectors for one :class:`NeuPimsDevice`.
 
     Attached via :meth:`repro.core.device.NeuPimsDevice.attach_counters`;
-    when attached, every memo-missing iteration result is annotated with
-    its counter vector before it enters the replay cache, so memo hits
+    when attached, every memo-missing iteration result gets its counter
+    vector before it enters the device's iteration memo, so memo hits
     replay counters exactly like they replay timing.
     """
 
@@ -46,28 +47,20 @@ class DeviceCounterModel:
         self._composite = config.composite_isa
         self._trefi = config.timing.tREFI
         self._layers = device.layers
-        # Per-seq_len class contribution memo, same discipline as the
-        # device's `_class_contrib`: (issue_slots, row_activations,
-        # ca_busy_cycles) per request per resident layer.
-        self._per_class: Dict[int, Tuple[float, float, float]] = {}
+        # Per-seq_len class contributions, memoized like the device's
+        # `_class_contrib`.
+        self._per_class = Memo(self.class_counters, 32768)
 
     def class_counters(self, seq_len: int) -> Tuple[float, float, float]:
         """One request's per-layer (issue slots, row acts, C/A cycles)."""
-        entry = self._per_class.get(seq_len)
-        if entry is None:
-            if len(self._per_class) >= 32768:
-                self._per_class.clear()
-            org, dtype = self._org, self._dtype
-            slots = 0
-            ca = 0
-            for op in mha_gemv_ops(self._num_heads, self._head_dim, seq_len):
-                slots += op.waves(org, dtype)
-                ca += ca_bus_cost(op, org, self._composite, dtype)
-            entry = (float(slots),
-                     float(slots * org.banks_per_channel),
-                     float(ca))
-            self._per_class[seq_len] = entry
-        return entry
+        org, dtype = self._org, self._dtype
+        slots = 0
+        ca = 0
+        for op in mha_gemv_ops(self._num_heads, self._head_dim, seq_len):
+            slots += op.waves(org, dtype)
+            ca += ca_bus_cost(op, org, self._composite, dtype)
+        return (float(slots), float(slots * org.banks_per_channel),
+                float(ca))
 
     def iteration_counters(self, hist, latency: float,
                            npu_busy_cycles: float) -> Dict[str, float]:
@@ -82,8 +75,9 @@ class DeviceCounterModel:
         acts = 0.0
         ca = 0.0
         channels = set()
+        per_class = self._per_class
         for channel, seq_len, count in hist:
-            s, a, c = self.class_counters(seq_len)
+            s, a, c = per_class[seq_len]
             slots += s * count
             acts += a * count
             ca += c * count
@@ -97,21 +91,3 @@ class DeviceCounterModel:
             "npu.systolic_busy_cycles": npu_busy_cycles,
             "pim.gemv_issue_slots": slots * layers,
         }
-
-    def annotate(self, result, hist):
-        """A copy of an :class:`IterationResult` carrying its counters.
-
-        Returns a fresh result object (never mutates ``result``: the
-        device's interleave memo shares result objects across plan
-        signatures whose counter vectors differ).
-        """
-        from repro.core.device import IterationResult
-        counters = self.iteration_counters(hist, result.latency,
-                                           result.busy.get("npu", 0.0))
-        return IterationResult(
-            latency=result.latency,
-            busy=dict(result.busy),
-            external_bytes=result.external_bytes,
-            internal_pim_bytes=result.internal_pim_bytes,
-            counters=counters,
-        )

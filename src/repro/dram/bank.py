@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.dram.commands import BufferTarget, CommandType
+from repro.dram.commands import BufferTarget
 from repro.dram.timing import TimingParams
 
 
@@ -249,9 +249,3 @@ class Bank:
             buf.pre_allowed_at += dt
             buf.act_allowed_at += dt
             buf.last_col_time += dt
-
-
-def command_targets_bank(ctype: CommandType) -> bool:
-    """Whether a command type addresses an individual bank."""
-    return ctype in (CommandType.ACT, CommandType.PRE, CommandType.RD,
-                     CommandType.WR)

@@ -12,10 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.model.layers import (
-    OpKind,
-    decoder_block_operators,
-)
+from repro.model.layers import decoder_block_operators
 from repro.model.spec import ModelSpec
 
 
@@ -150,9 +147,3 @@ def is_memory_bound(spec: ModelSpec, batch_size: int, seq_lens: Sequence[int],
                     phase: str, device: DeviceRoofline = A100_ROOFLINE) -> bool:
     """Whether a phase is memory-bound on the given device roofline."""
     return phase_intensity(spec, batch_size, seq_lens, phase) < device.ridge_intensity
-
-
-def gemv_ops_only(spec: ModelSpec, seq_lens: Sequence[int]):
-    """Convenience accessor: the generation-phase MHA GEMV operators."""
-    ops = decoder_block_operators(spec, list(seq_lens), phase="generation")
-    return [op for op in ops if op.kind is OpKind.GEMV]

@@ -27,10 +27,6 @@ class VectorConfig:
         if self.lanes <= 0 or self.clock_ghz <= 0 or self.launch_overhead < 0:
             raise ValueError("invalid vector-unit parameters")
 
-    @property
-    def flops_per_cycle(self) -> int:
-        return self.lanes
-
 
 def elementwise_cycles(elements: int, config: VectorConfig,
                        ops_per_element: float = 1.0) -> float:

@@ -3,9 +3,12 @@
 The command-level simulation and the serving stack recompute a lot of
 pure-function results: GEMV command streams for identical shapes,
 :func:`repro.pim.engine.calibrate` for identical hardware configs,
-Algorithm-1 estimates for identical sequence lengths.  This module is the
-one place those memoizations live, so they can be inspected
-(:func:`cache_info`) and dropped (:func:`invalidate`) uniformly.
+Algorithm-1 estimates for identical sequence lengths.  Those
+process-wide tables are named :class:`KeyedCache` instances, so they can
+be inspected (:func:`cache_info`) and dropped (:func:`invalidate`)
+uniformly.  Per-object memos of pure one-argument methods (the device's
+GEMM-stage, per-class MHA and iteration memos) use the lighter
+:class:`Memo` instead.
 
 Keys must capture *every* input of the cached computation.  The hardware
 parameter dataclasses (:class:`~repro.dram.timing.TimingParams`,
@@ -100,6 +103,43 @@ class KeyedCache:
         """Size, weight and hit/miss counters, for diagnostics and tests."""
         return {"size": len(self._entries), "hits": self.hits,
                 "misses": self.misses, "weight": self._total_weight}
+
+
+class Memo(dict):
+    """A bounded per-instance memo for one pure one-argument function.
+
+    ``memo[key]`` returns ``compute(key)``, computing it only on a miss.
+    A hit is a plain dict lookup (``dict.__getitem__`` consults
+    :meth:`__missing__` only when the key is absent), which is what the
+    device's per-class and per-signature lookups need: hundreds of
+    thousands of them per serving run.  At ``bound`` entries the oldest
+    insertion is evicted (FIFO).  ``misses`` and ``evictions`` count the
+    slow path; hits are not counted, since counting them would cost the
+    fast path a Python frame.
+
+    Unlike :class:`KeyedCache` a memo is not registered by name and not
+    reached by :func:`invalidate`: it belongs to the object whose fixed
+    configuration makes ``compute`` pure, and dies with it.
+    """
+
+    def __init__(self, compute: Callable[[Hashable], Any],
+                 bound: int) -> None:
+        super().__init__()
+        if bound <= 0:
+            raise ValueError("bound must be positive")
+        self.compute = compute
+        self.bound = bound
+        self.misses = 0
+        self.evictions = 0
+
+    def __missing__(self, key: Hashable) -> Any:
+        self.misses += 1
+        value = self.compute(key)
+        if len(self) >= self.bound:
+            del self[next(iter(self))]
+            self.evictions += 1
+        self[key] = value
+        return value
 
 
 _REGISTRY: Dict[str, KeyedCache] = {}

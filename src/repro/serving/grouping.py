@@ -211,10 +211,6 @@ class GroupedScheduleState:
     def batch_size(self) -> int:
         return len(self.batch)
 
-    @property
-    def num_classes(self) -> int:
-        return len(self._groups)
-
     def steps_until_finish(self) -> int:
         """Iterations until the shortest-remaining class completes."""
         return self._min_remaining - self.shift

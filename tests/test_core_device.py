@@ -1,10 +1,14 @@
 """Unit tests for the NeuPIMs device model."""
 
+import pickle
+
 import pytest
 
+from repro.api import ScenarioSpec, ServingSpec, Session, TrafficSpec
 from repro.core.config import NeuPimsConfig
 from repro.core.device import NeuPimsDevice, shard_for_mha
 from repro.model.spec import GPT3_7B
+from repro.perf import Memo
 from repro.serving.trace import SHAREGPT, warmed_batch
 
 from tests.conftest import make_request
@@ -176,6 +180,53 @@ class TestIteration:
         reqs = batch(8)
         assert device.executor()(reqs) == pytest.approx(
             device.iteration(reqs).latency)
+
+
+class TestMemos:
+    def test_attach_counters_after_iteration_still_counts(self):
+        """Results memoized before the attach carry no counters, so the
+        attach must not let them replay."""
+        reqs = batch(32)
+        device = device_with()
+        device.iteration(reqs)
+        device.attach_counters()
+        late = device.iteration(reqs).counters
+        fresh = device_with()
+        fresh.attach_counters()
+        assert len(late) == 5
+        assert late == fresh.iteration(batch(32)).counters
+
+    @pytest.mark.parametrize("grouping", ["auto", "off"])
+    def test_bound_one_memos_change_no_payload(self, grouping):
+        """Evicting on every miss must give the same run as the default
+        bounds: the memos are exact, whatever they hold."""
+        spec = ScenarioSpec(
+            model="gpt3-7b", layers_resident=2, counters="typed",
+            traffic=TrafficSpec.poisson(rate_per_kcycle=0.05,
+                                        horizon_cycles=2e6, seed=3,
+                                        max_requests=40),
+            serving=ServingSpec(max_batch_size=16, grouping=grouping))
+        squeezed = Session(spec).materialize()
+        device = squeezed.device
+        memos = [memo for memo in vars(device).values()
+                 if isinstance(memo, Memo)]
+        memos.append(device.counter_model._per_class)
+        assert len(memos) == 4
+        for memo in memos:
+            memo.bound = 1
+        assert squeezed.run().to_dict() == Session(spec).run().to_dict()
+        assert all(memo.evictions for memo in memos)
+
+    def test_pickled_device_computes_on_miss(self):
+        device = device_with()
+        device.iteration(batch(16))
+        clone = pickle.loads(pickle.dumps(device))
+        assert clone._iteration_memo.compute.__self__ is clone
+        misses = clone._iteration_memo.misses
+        result = clone.iteration(batch(48, seed=1))
+        assert clone._iteration_memo.misses == misses + 1
+        assert result.latency == device_with().iteration(
+            batch(48, seed=1)).latency
 
 
 class TestShardForMha:

@@ -16,8 +16,9 @@ from repro.core.binpack import (ChannelLoadTracker, channel_loads,
 from repro.core.estimator import MhaLatencyEstimator, analytic_latencies
 from repro.dram.timing import HbmOrganization, PimTiming, TimingParams
 from repro.model.spec import get_model
-from repro.perf import (cache, cache_info, cached_calibrate, gemv_stream,
-                        interned_stream, invalidate, memoized_estimator)
+from repro.perf import (Memo, cache, cache_info, cached_calibrate,
+                        gemv_stream, interned_stream, invalidate,
+                        memoized_estimator)
 from repro.perf.calibration import ESTIMATE_CACHE
 from repro.perf.streams import STREAM_CACHE
 from repro.pim.engine import calibrate
@@ -104,6 +105,39 @@ class TestStreamInterning:
         latest = gemv_stream(4096, 4096 + 512 * 39, ORG, composite=False)
         assert cache_info()[STREAM_CACHE]["hits"] >= 1
         assert len(latest) > 0
+
+
+class TestMemo:
+    def test_computes_once_per_key(self):
+        calls = []
+        memo = Memo(lambda key: calls.append(key) or 2 * key, bound=4)
+        assert memo[3] == 6
+        assert memo[3] == 6
+        assert calls == [3]
+        assert (memo.misses, memo.evictions) == (1, 0)
+
+    def test_evicts_oldest_insertion_at_bound(self):
+        memo = Memo(lambda key: -key, bound=2)
+        memo[1]
+        memo[2]
+        memo[1]  # a hit does not refresh the entry's age
+        memo[3]
+        assert list(memo) == [2, 3]
+        assert (memo.misses, memo.evictions) == (3, 1)
+        assert memo[1] == -1
+        assert list(memo) == [3, 1]
+        assert (memo.misses, memo.evictions) == (4, 2)
+
+    def test_membership_and_get_do_not_compute(self):
+        memo = Memo(lambda key: key, bound=1)
+        assert 5 not in memo
+        assert memo.get(5) is None
+        assert memo.misses == 0
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_rejects_non_positive_bound(self, bound):
+        with pytest.raises(ValueError, match="bound"):
+            Memo(abs, bound)
 
 
 class TestCalibrationCache:
