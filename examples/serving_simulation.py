@@ -40,12 +40,8 @@ def main() -> None:
           f"(Alpaca lengths, Poisson arrivals)\n")
 
     # Peek at the pool table mid-run (Figure 7's request pool view).
-    # The equivalence-class engine (serving spec knob ``grouping``,
-    # default "auto") defers per-request bookkeeping inside steady-state
-    # windows, so materialize any deferred state before inspecting.
     for _ in range(4):
-        session.scheduler.run_iteration()
-    session.scheduler.sync_grouped()
+        session.step()
     print("request pool after 4 iterations:")
     print(session.pool.format_table(limit=10))
     print("...")

@@ -49,7 +49,7 @@ from repro.core.system import NeuPimsSystem, ParallelismScheme
 from repro.exec.backends import ParallelSpec
 from repro.exec.runner import ParallelRunner
 from repro.exec.warmup import PerfCacheWarmup, WarmupChain
-from repro.faults.resilience import ResiliencePolicy, ResilienceRuntime
+from repro.faults.resilience import ResilienceRuntime
 from repro.model.spec import ModelSpec
 from repro.registry import REGISTRY, Workload
 from repro.serving.events import (CountersSampled, IterationCompleted,
@@ -200,12 +200,11 @@ class Session:
 
     Step-wise execution: :meth:`step` runs one iteration,
     :meth:`run_until` stops on a live predicate, and :meth:`stream`
-    yields typed events while the loop advances.  Under the
+    yields typed events while the loop advances.  The pool, requests,
+    allocators and load tracker are exact after every step: the
     equivalence-class engine (serving spec knob ``grouping``, default
-    ``"auto"``) per-request state is deferred inside steady-state
-    windows — call ``scheduler.sync_grouped()`` before inspecting the
-    pool or requests mid-run (``run`` and ``run_until`` always leave
-    the stack synchronized).
+    ``"auto"``) closes its steady-state windows inside the step that
+    opened them.
     """
 
     def __init__(self, spec: ScenarioSpec) -> None:
@@ -334,18 +333,13 @@ class Session:
         self.fault_injector = REGISTRY.create(
             "faults", self.spec.faults, serving, channels,
             **self.spec.options_for("faults"))
-        policy = ResiliencePolicy(
-            deadline_cycles=serving.deadline_cycles,
-            max_retries=serving.max_retries,
-            retry_backoff_cycles=serving.retry_backoff_cycles,
-            shed_wait_cycles=serving.shed_wait_cycles)
-        if self.fault_injector is not None or policy.active:
+        if self.fault_injector is not None or serving.resilience_active:
             preempting = None
             if self.allocators:
                 preempting = PreemptingAllocatorPool(
                     self.allocators, self.model_spec.kv_bytes_per_token())
             self.resilience = ResilienceRuntime(
-                policy, injector=self.fault_injector,
+                serving, injector=self.fault_injector,
                 preempting=preempting)
         self.latency_tracker = LatencyTracker()
         wiring: Dict[str, Any] = {}
@@ -454,41 +448,37 @@ class Session:
             return self.spec.serving.max_iterations
         return len(self.batches)
 
-    def step(self, max_steps: int = 1) -> Optional[IterationRecord]:
+    def step(self, max_steps: int = 1,
+             until: Optional[float] = None) -> Optional[IterationRecord]:
         """Execute one iteration; ``None`` when nothing is runnable.
 
         Measurement scenarios run the next warmed batch; serving
         scenarios advance the iteration scheduler (under grouping, up to
         ``max_steps`` steady-state iterations may group-commit in one
-        call, exactly as inside :meth:`run`).  Returns the last executed
-        :class:`~repro.serving.scheduler.IterationRecord`.  Mid-run
-        state may be deferred under grouping — call
-        ``scheduler.sync_grouped()`` before inspecting the pool.
+        call, exactly as inside :meth:`run`, each after the first only
+        if it starts before ``until``).  Returns the last executed
+        :class:`~repro.serving.scheduler.IterationRecord`.
         """
         self.materialize()
         if self.workload.streaming:
-            return self.scheduler.run_iteration(max_steps=max_steps)
+            return self.scheduler.run_iteration(max_steps=max_steps,
+                                                until=until)
         return self._measure_step()
 
     def run_until(self, predicate: Callable[["Session"], bool],
                   max_iterations: Optional[int] = None) -> RunResult:
         """Step until ``predicate(session)`` holds or the run drains.
 
-        The predicate is evaluated after every iteration with the stack
-        synchronized (grouped windows flushed), so it can inspect the
-        pool, the latency tracker or the last records — the hook for
-        early stop and live-policy experiments.  Returns the result of
-        the iterations executed so far *without* caching it: a later
-        :meth:`run` resumes and finishes the remaining work.
+        The predicate is evaluated after every iteration, so it can
+        inspect the pool, the latency tracker or the last records — the
+        hook for early stop and live-policy experiments.  Returns the
+        result of the iterations executed so far *without* caching it: a
+        later :meth:`run` resumes and finishes the remaining work.
         """
         self.materialize()
         limit = self._iteration_limit(max_iterations)
         while self._iterations_done() < limit:
-            if self.step() is None:
-                break
-            if self.scheduler is not None:
-                self.scheduler.sync_grouped()
-            if predicate(self):
+            if self.step() is None or predicate(self):
                 break
         return self._build_result()
 
@@ -515,10 +505,6 @@ class Session:
                     yield buffer.popleft()
                 if record is None:
                     break
-            if self.scheduler is not None:
-                self.scheduler.sync_grouped()
-                while buffer:
-                    yield buffer.popleft()
         finally:
             unsubscribe()
 
@@ -542,8 +528,6 @@ class Session:
         while self._iterations_done() < limit:
             if self.step(max_steps=limit - self._iterations_done()) is None:
                 break
-        if self.scheduler is not None:
-            self.scheduler.sync_grouped()
         self._result = self._build_result()
         return self._result
 

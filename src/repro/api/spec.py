@@ -251,6 +251,12 @@ class ServingSpec:
         if self.shed_wait_cycles is not None and self.shed_wait_cycles <= 0:
             raise ValueError("shed_wait_cycles must be positive when set")
 
+    @property
+    def resilience_active(self) -> bool:
+        """Whether any deadline, retry or shedding knob is set."""
+        return (self.deadline_cycles is not None or self.max_retries > 0
+                or self.shed_wait_cycles is not None)
+
 
 # ----------------------------------------------------------------------
 # The scenario itself.

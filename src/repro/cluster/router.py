@@ -126,8 +126,6 @@ class Router:
         self._failed_over = 0
         #: cached healthy-index list, dropped on any health transition
         self._healthy_view: Optional[List[int]] = None
-        #: set when a dispatch unstalls a node (run-loop must re-advance)
-        self._needs_advance = False
         self._node_log: List[Dict[str, Any]] = []
         #: recent KvPressure event times from surviving nodes
         self._pressure: Deque[float] = deque()
@@ -212,21 +210,22 @@ class Router:
             return None
         return max(scheduler.now, waiting[0].arrival_time)
 
-    def _step_budget(self, handle: NodeHandle, until: Optional[float]) -> int:
+    def _step_budget(self, handle: NodeHandle, dispatching: bool) -> int:
         """How many iterations one ``step()`` call may group-commit.
 
-        While arrivals are still being dispatched (``until`` set) or
-        probes still matter, the budget is 1 so router decisions land at
-        exact iteration boundaries; the final no-fault drain hands each
-        node its full remaining iteration budget (fast path — grouped
-        windows commit in bulk, which the bench guard relies on).
+        A node's remaining iteration budget: the call stops by itself
+        at the next time the router reads or changes node state (see
+        :meth:`_step_node`), and between those times nodes are
+        independent.  The exception is a shed watermark while arrivals
+        are dispatched: its pressure log is appended in node-step order
+        and read at dispatch, so there the budget is 1 and node steps
+        interleave in time order.
         """
-        if until is not None or \
-                (self.schedule is not None and not self._probing_done):
+        if dispatching and self.fleet.shed_watermark is not None:
             budget = 1
         else:
             done = len(handle.scheduler.stats.iterations)
-            budget = max(1, handle.max_iterations - done)
+            budget = handle.max_iterations - done
         if self.max_group_steps is not None:
             budget = min(budget, self.max_group_steps)
         return max(1, budget)
@@ -245,10 +244,16 @@ class Router:
             handle.hint_valid = True
         return handle.next_hint
 
-    def _step_node(self, handle: NodeHandle, until: Optional[float]) -> None:
-        """Advance one node; ``None`` from the core marks it stalled."""
+    def _step_node(self, handle: NodeHandle, until: Optional[float],
+                   dispatching: bool = False) -> None:
+        """Advance one node; ``None`` from the core marks it stalled.
+
+        ``until`` is the next arrival or probe: iterations after the
+        first commit only while they start before it, exactly the ones
+        single-iteration steps would have run before the router acts.
+        """
         record = handle.session.step(
-            max_steps=self._step_budget(handle, until))
+            max_steps=self._step_budget(handle, dispatching), until=until)
         handle.hint_valid = False
         if record is None:
             handle.stalled = True
@@ -268,7 +273,7 @@ class Router:
                     best, best_time = handle, next_time
             if best is None:
                 return
-            self._step_node(best, until)
+            self._step_node(best, until, dispatching=True)
 
     # ------------------------------------------------------------------
     # Health model.
@@ -367,7 +372,6 @@ class Router:
         """
         session = handle.session
         scheduler = session.scheduler
-        scheduler.sync_grouped()
         scheduler.flush_finished()
         handle.hint_valid = False
         pooled = sorted(session.pool.running() + session.pool.waiting(),
@@ -406,16 +410,12 @@ class Router:
         Channel-load rollups (from the node's ``ChannelLoadTracker``)
         when available, pooled request counts otherwise; nodes inside a
         degrade window are derated by the degrade factor so policies
-        prefer full-speed peers.  A node inside a grouped window is
-        synchronized first: the window defers its load-tracker updates
-        to the next boundary, and routing on the stale loads would make
-        grouping ``auto`` and ``off`` route differently.
+        prefer full-speed peers.
         """
         loads: List[float] = []
         for handle in self.handles:
             session = handle.session
             if session.load_tracker is not None:
-                handle.scheduler.sync_grouped()
                 load = float(sum(session.load_tracker.loads))
             else:
                 pool = session.pool
@@ -434,12 +434,8 @@ class Router:
         node = self.policy.choose(request.request_id, healthy, load)
         handle = self.handles[node]
         handle.pool.submit(request)
-        if handle.stalled:
-            # A stalled node may become steppable again (even before
-            # the current timestamp) once it has new work, so the run
-            # loop's same-timestamp fast path must re-advance.
-            handle.stalled = False
-            self._needs_advance = True
+        # A stalled node may become steppable again once it has new work.
+        handle.stalled = False
         if handle.hint_valid:
             # O(1) hint refresh mirroring `_next_time`: the new waiting
             # request can only move the node's next event earlier (the
@@ -508,21 +504,10 @@ class Router:
             for request in self.stream:
                 pools[choose(request.request_id, healthy, ())].submit(request)
         else:
-            last_arrival: Optional[float] = None
             for request in self.stream:
                 arrival = request.arrival_time
-                # Same-timestamp fast path: probes are a pure function
-                # of the limit, and after `_advance_nodes(t)` every
-                # steppable node's next event is >= t (dispatching at t
-                # can only add events at t), so repeating both at an
-                # identical arrival time is a no-op — unless a dispatch
-                # just unstalled a node (`_needs_advance`), which may
-                # make it steppable below t.
-                if arrival != last_arrival or self._needs_advance:
-                    self._process_probes(arrival)
-                    self._advance_nodes(arrival)
-                    self._needs_advance = False
-                    last_arrival = arrival
+                self._process_probes(arrival)
+                self._advance_nodes(arrival)
                 self._dispatch(request, arrival)
         self._drain()
         self._result = self._build_result()
@@ -568,14 +553,13 @@ class Router:
                                           for h in self.handles))
                     continue
                 break
-            self._step_node(best, None)
+            self._step_node(best, probe_time)
         self._final_sweep()
 
     def _final_sweep(self) -> None:
         """Shed anything still pooled or queued (conservation closeout)."""
         for handle in self.handles:
             scheduler = handle.session.scheduler
-            scheduler.sync_grouped()
             scheduler.flush_finished()
             pool = handle.session.pool
             stuck = sorted(pool.running() + pool.waiting(),

@@ -10,10 +10,10 @@ before it can model a fleet.  This package supplies them in three layers:
   so faults replay identically in sweeps and pickled workers);
 * :mod:`repro.faults.injector` — the :class:`FaultInjector` runtime the
   serving scheduler polls at iteration boundaries;
-* :mod:`repro.faults.resilience` — the :class:`ResiliencePolicy` /
-  :class:`ResilienceRuntime` pair wiring deadlines, retry/backoff
-  re-admission, shedding and per-iteration latency penalties through
-  the serving scheduler;
+* :mod:`repro.faults.resilience` — the :class:`ResilienceRuntime`
+  wiring the ``ServingSpec`` deadline, retry/backoff re-admission and
+  shedding knobs and per-iteration latency penalties through the
+  serving scheduler;
 * :mod:`repro.faults.chaos` — the ``python -m repro chaos`` harness
   sweeping seeded fault scenarios and asserting conservation invariants.
 
@@ -38,7 +38,7 @@ from repro.faults.plan import (ChannelDegrade, ChannelStall, Fault,
                                FaultPlan, KvFault, NodeDegrade, NodeDown,
                                RequestAbort, make_fault_plan,
                                make_node_fault_plan)
-from repro.faults.resilience import ResiliencePolicy, ResilienceRuntime
+from repro.faults.resilience import ResilienceRuntime
 
 __all__ = [
     "ChannelDegrade",
@@ -51,7 +51,6 @@ __all__ = [
     "NodeDown",
     "NodeFaultSchedule",
     "RequestAbort",
-    "ResiliencePolicy",
     "ResilienceRuntime",
     "chaos_spec",
     "fleet_chaos_spec",

@@ -1,73 +1,32 @@
-"""Resilience policy and the runtime shared by session and scheduler.
+"""The resilience runtime shared by session and scheduler.
 
-The mechanisms that absorb injected (or organic) failures live here:
+:class:`ResilienceRuntime` is the mutable state the
+:class:`~repro.serving.scheduler.IterationScheduler` threads through
+its boundaries (timeouts, retries re-admitted through the
+:class:`~repro.serving.preemption.PreemptingAllocatorPool` restore
+machinery) and its iteration epilogue, which charges
+:meth:`ResilienceRuntime.apply` — fault latency penalties and owed
+restore cycles — before the latency tracker sees the iteration, so
+penalty cycles move the latency clock exactly like device cycles.  Its
+knobs are the ``ServingSpec`` resilience fields, read directly.
 
-* :class:`ResiliencePolicy` — the frozen knobs from
-  ``ScenarioSpec.serving``: per-request deadlines, bounded retry with
-  exponential backoff, and graceful-degradation shedding of requests
-  that waited too long for admission;
-* :class:`ResilienceRuntime` — the mutable state the
-  :class:`~repro.serving.scheduler.IterationScheduler` threads through
-  its boundaries (timeouts, retries re-admitted through the
-  :class:`~repro.serving.preemption.PreemptingAllocatorPool` restore
-  machinery) and its iteration epilogue, which charges
-  :meth:`ResilienceRuntime.apply` — fault latency penalties and owed
-  restore cycles — before the latency tracker sees the iteration, so
-  penalty cycles move the latency clock exactly like device cycles.
-
-A session only constructs a runtime when ``faults != "none"`` or a
-resilience knob is set; the default path carries no runtime and the
-scheduler's fault branches reduce to ``resilience is not None`` checks.
+A session only constructs a runtime when ``faults != "none"`` or
+``ServingSpec.resilience_active``; the default path carries no runtime
+and the scheduler's fault branches reduce to ``resilience is not None``
+checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
 
 from repro.faults.injector import FaultInjector
 from repro.serving.preemption import PreemptingAllocatorPool
 
-__all__ = ["ResiliencePolicy", "ResilienceRuntime"]
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.api.spec import ServingSpec
 
-
-@dataclass(frozen=True)
-class ResiliencePolicy:
-    """Frozen resilience knobs (mirrors ``ScenarioSpec.serving``).
-
-    ``deadline_cycles`` bounds how long a *running* request may go
-    without completing before it times out (measured from arrival, or
-    from its re-admission time after a retry); ``max_retries`` bounds
-    re-admissions per request; ``retry_backoff_cycles`` is the base of
-    the exponential backoff applied to retry arrival times;
-    ``shed_wait_cycles`` sheds waiting requests that were never admitted
-    within the window (graceful degradation under KV pressure).
-    """
-
-    deadline_cycles: Optional[float] = None
-    max_retries: int = 0
-    retry_backoff_cycles: float = 0.0
-    shed_wait_cycles: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.deadline_cycles is not None and self.deadline_cycles <= 0:
-            raise ValueError(
-                f"deadline_cycles must be > 0, got {self.deadline_cycles}")
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_backoff_cycles < 0:
-            raise ValueError(f"retry_backoff_cycles must be >= 0, "
-                             f"got {self.retry_backoff_cycles}")
-        if self.shed_wait_cycles is not None and self.shed_wait_cycles <= 0:
-            raise ValueError(
-                f"shed_wait_cycles must be > 0, got {self.shed_wait_cycles}")
-
-    @property
-    def active(self) -> bool:
-        """Whether any resilience mechanism is enabled."""
-        return (self.deadline_cycles is not None or self.max_retries > 0
-                or self.shed_wait_cycles is not None)
+__all__ = ["ResilienceRuntime"]
 
 
 class ResilienceRuntime:
@@ -77,14 +36,20 @@ class ResilienceRuntime:
     re-admitted (its swap/recompute restore cost) and :meth:`apply` on
     every iteration, which drains the owed cycles and adds fault latency
     penalties.  ``counters`` accumulates the taxonomy surfaced in
-    ``RunResult.resilience``.
+    ``RunResult.resilience``.  ``serving`` supplies the knobs:
+    ``deadline_cycles`` bounds how long a *running* request may go
+    without completing (measured from arrival, or from its re-admission
+    after a retry), ``max_retries`` bounds re-admissions per request,
+    ``retry_backoff_cycles`` is the base of the exponential retry
+    backoff and ``shed_wait_cycles`` sheds waiting requests never
+    admitted within the window.
     """
 
-    def __init__(self, policy: ResiliencePolicy,
+    def __init__(self, serving: "ServingSpec",
                  injector: Optional[FaultInjector] = None,
                  preempting: Optional[PreemptingAllocatorPool] = None
                  ) -> None:
-        self.policy = policy
+        self.serving = serving
         self.injector = injector
         self.preempting = preempting
         self.pending_cycles = 0.0
@@ -103,7 +68,7 @@ class ResilienceRuntime:
 
     def retry_delay(self, attempt: int) -> float:
         """Exponential backoff delay for 1-based retry ``attempt``."""
-        return self.policy.retry_backoff_cycles * (2.0 ** (attempt - 1))
+        return self.serving.retry_backoff_cycles * (2.0 ** (attempt - 1))
 
     def apply(self, now: float, latency: float,
               batch: Sequence[Any]) -> float:

@@ -92,7 +92,7 @@ class KvPressure(ServingEvent):
 
 @dataclass(frozen=True)
 class WindowCommitted(ServingEvent):
-    """A grouped steady-state window synchronized (``iterations`` deep)."""
+    """A grouped steady-state window closed (``iterations`` deep)."""
 
     iterations: int
 

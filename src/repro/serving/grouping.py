@@ -23,18 +23,22 @@ work instead of per-request work:
   reused with an arithmetic shift instead of being rebuilt (the
   iteration-level analog of ``MemoryController.drain_fast``'s
   translation-invariant replay).
-* :class:`GroupedScheduleState` is the scheduler-side live state: the
-  class groups with their member lists, the current shift, and the lazy
+* :class:`GroupedScheduleState` is the scheduler-side window state: the
+  class groups with their member lists, the current shift, and the
   synchronization that writes the deferred per-request effects (token
   counts, paged-KV allocations, channel-load contributions, latency
-  bookkeeping) back at the next boundary.
+  bookkeeping) back when the window closes.  A window lives inside one
+  ``IterationScheduler.run_iteration`` call and closes before it
+  returns.
 
 A *boundary* is any event that breaks translation invariance: a class
 reaching ``remaining == 0``, a waiting request becoming admissible, or a
 channel without enough free KV blocks for the batched growth.  The
-scheduler then falls back to the per-request path for that iteration —
-which, because the arithmetic is shared, produces exactly the record the
-grouped path would have — and rebuilds the plan afterwards.
+scheduler then closes the window and falls back to the per-request path
+for that iteration — which, because the arithmetic is shared, produces
+exactly the record the grouped path would have.  The next call builds a
+fresh plan; a re-planned window commits exactly what a continued one
+would have.
 """
 
 from __future__ import annotations
@@ -173,14 +177,14 @@ class _ClassGroup:
 
 
 class GroupedScheduleState:
-    """Class decomposition of the running batch between boundaries.
+    """Class decomposition of the running batch for one window.
 
     Member request objects are **not** touched while iterations commit;
     the state tracks the accumulated ``shift`` and :meth:`sync` writes
-    every deferred effect back in one pass — generated-token counts,
-    ``DONE`` transitions (which fire the pool's status observers), paged
-    KV allocation bookkeeping, channel-load tracker contributions and
-    per-request latency completions.
+    every deferred effect back in one pass when the window closes —
+    generated-token counts, ``DONE`` transitions (which fire the pool's
+    status observers), paged KV allocation bookkeeping, channel-load
+    tracker contributions and per-request latency completions.
     """
 
     def __init__(self, batch: Sequence[InferenceRequest], plan: Any) -> None:
@@ -271,7 +275,7 @@ class GroupedScheduleState:
             tracker.observe_running(request, end)
         self._fresh = []
 
-    # -- boundary synchronization ---------------------------------------
+    # -- window close ---------------------------------------------------
 
     def sync(self, allocators: Optional[Sequence["PagedKvAllocator"]],
              load_tracker: Optional["ChannelLoadTracker"],
@@ -279,9 +283,10 @@ class GroupedScheduleState:
              clock_end: float) -> None:
         """Write all deferred per-request effects back to the live stack.
 
-        Safe to call at any shift (``shift == 0`` is a no-op apart from
-        latency completions, which the per-request path would have
-        refreshed every iteration anyway).
+        Called once, when the window closes.  Safe at any shift
+        (``shift == 0`` is a no-op apart from latency completions, which
+        the per-request path would have refreshed every iteration
+        anyway).
         """
         shift = self.shift
         for group in self._groups:
@@ -308,5 +313,3 @@ class GroupedScheduleState:
                 if finished:
                     # Fires the pool's status observer (bucket move).
                     request.status = RequestStatus.DONE
-        self.shift = 0
-        self._min_remaining = 0  # state is spent; callers rebuild

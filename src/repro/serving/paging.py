@@ -122,9 +122,8 @@ class PagedKvAllocator:
         Used by the grouped serving engine to commit a whole equivalence
         class's (or window's) KV growth at once; the per-request
         ``_allocations`` entries are fixed up later via
-        :meth:`set_allocation` when the engine synchronizes at a batch
-        boundary, restoring the ``free == total - sum(allocations)``
-        invariant.
+        :meth:`set_allocation` when the window closes, restoring the
+        ``free == total - sum(allocations)`` invariant.
         """
         if blocks < 0:
             raise ValueError("blocks must be non-negative")

@@ -22,6 +22,7 @@ so the executor is the bare device call and nothing wraps it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     Tuple)
@@ -122,9 +123,12 @@ class IterationScheduler:
         enough KV blocks for the batched growth) commit through the
         class-grouped engine: the iteration latency comes from the frozen
         class plan plus a uniform seq_len shift, request objects are left
-        untouched until the next boundary, and paged-KV growth, load
+        untouched while the window runs, and paged-KV growth, load
         tracking and latency bookkeeping happen as batched per-class
-        operations.  Because the per-request path computes latencies from
+        operations.  A window closes (its deferred state written back)
+        inside the :meth:`run_iteration` call that opened it, so callers
+        may inspect the pool, requests, allocators and load tracker after
+        any call.  Because the per-request path computes latencies from
         the same class histograms, records and aggregates are
         bit-identical between modes.  ``"off"`` (the default for
         hand-built schedulers) never groups.
@@ -202,7 +206,6 @@ class IterationScheduler:
         #: departed part of the typed ``kv.page_churn`` counter.
         self.kv_page_churn = 0
         self._now = 0.0
-        self._grouped_state: Optional[GroupedScheduleState] = None
 
     @property
     def now(self) -> float:
@@ -296,8 +299,7 @@ class IterationScheduler:
         Identical to the retirement performed at the next iteration
         boundary; exposed so the fleet router can settle a node's
         genuinely completed requests before extracting the rest for
-        failover.  Call :meth:`sync_grouped` first when stepping under
-        grouping.
+        failover.
         """
         return self._retire()
 
@@ -368,7 +370,7 @@ class IterationScheduler:
         resilience = self.resilience
         rid = request.request_id
         attempt = resilience.attempts.get(rid, 0) + 1
-        if attempt > resilience.policy.max_retries:
+        if attempt > resilience.serving.max_retries:
             return False
         if self.load_tracker is not None and \
                 request.status is RequestStatus.RUNNING:
@@ -423,9 +425,9 @@ class IterationScheduler:
                             else 0.0))
             for victim in injector.take_aborts(now, self.pool.running()):
                 self._terminate(victim, "aborted")
-        policy = resilience.policy
-        if policy.deadline_cycles is not None:
-            deadline = policy.deadline_cycles
+        serving = resilience.serving
+        if serving.deadline_cycles is not None:
+            deadline = serving.deadline_cycles
             for request in self.pool.running():
                 rid = request.request_id
                 base = resilience.deadline_base.get(rid,
@@ -438,8 +440,8 @@ class IterationScheduler:
                             attempt=resilience.attempts.get(rid, 0)))
                     if not self._retry_request(request):
                         self._terminate(request, "timed_out")
-        if policy.shed_wait_cycles is not None:
-            shed_wait = policy.shed_wait_cycles
+        if serving.shed_wait_cycles is not None:
+            shed_wait = serving.shed_wait_cycles
             for request in self.pool.waiting(now):
                 waited = now - request.arrival_time
                 if waited > shed_wait:
@@ -504,16 +506,12 @@ class IterationScheduler:
         return (self.grouping != "off" and self.grouped is not None
                 and self.resilience is None)
 
-    def sync_grouped(self) -> None:
-        """Write any deferred grouped-window state back to the live stack.
+    def sync_grouped(self, state: GroupedScheduleState) -> None:
+        """Close a grouped window: write its deferred state back.
 
-        Harmless when nothing is deferred.  :meth:`run` calls this before
-        returning; callers stepping :meth:`run_iteration` by hand under
-        grouping should call it before inspecting pool or request state.
+        Runs before the :meth:`run_iteration` call that opened the
+        window returns, so no deferred state outlives the call.
         """
-        state = self._grouped_state
-        if state is None:
-            return
         events = self.events
         if state.shift > 0 and events is not None and events.active:
             events.emit(WindowCommitted(time=self._now,
@@ -521,18 +519,19 @@ class IterationScheduler:
         # The epilogue moves the tracker's clock in step with ``now``.
         state.sync(self.allocators, self.load_tracker,
                    self.latency_tracker, self._now)
-        self._grouped_state = None
 
-    def _grouped_steps(self, max_steps: int) -> Optional[IterationRecord]:
+    def _grouped_steps(self, max_steps: int,
+                       until: float) -> Optional[IterationRecord]:
         """Commit up to ``max_steps`` iterations through the class engine.
 
-        Returns the last committed record, or ``None`` when the grouped
-        path cannot run this iteration (a boundary is pending); in that
-        case all deferred state has been synchronized and the per-request
-        path — whose arithmetic is identical — takes over.
+        Iterations after the first commit only while they start before
+        ``until``.  Returns the last committed record, or ``None`` when
+        the grouped path cannot run this iteration (a boundary is
+        pending) and the per-request path — whose arithmetic is
+        identical — takes over.  The window opens and closes inside this
+        call.
         """
         if self.pool.has_finished():
-            self.sync_grouped()
             return None
         space = self.max_batch_size - self.pool.running_count()
         # Any arrived waiting request (with batch space) is a boundary
@@ -544,25 +543,19 @@ class IterationScheduler:
         # arrival this pins the loop to the per-request path (correct,
         # just not fast) until blocks free up.
         if space > 0 and self.pool.has_waiting_arrived(self._now):
-            self.sync_grouped()
             return None
-        state = self._grouped_state
-        if state is None:
-            batch = self.pool.running()
-            if not batch:
-                return None
-            state = GroupedScheduleState(batch, self.grouped.prepare(batch))
-            state.collect_fresh(self.latency_tracker)
-            self._grouped_state = state
+        batch = self.pool.running()
+        if not batch:
+            return None
+        state = GroupedScheduleState(batch, self.grouped.prepare(batch))
+        state.collect_fresh(self.latency_tracker)
         last: Optional[IterationRecord] = None
-        steps = 0
-        boundary = False
-        while steps < max_steps:
+        for _ in range(max_steps):
+            if last is not None and self._now >= until:
+                break
             if state.steps_until_finish() <= 0:
-                boundary = True
                 break
             if space > 0 and self.pool.has_waiting_arrived(self._now):
-                boundary = True
                 break
             need: Dict[int, int] = {}
             if self.allocators is not None:
@@ -573,16 +566,19 @@ class IterationScheduler:
                 if starved:
                     # Not enough KV for the batched growth: the
                     # per-request path owns this iteration (including its
-                    # exact mid-generation OOM semantics).
+                    # exact mid-generation OOM semantics).  Only the call
+                    # that hands it over reports the pressure, so a
+                    # starved iteration reports once however the caller
+                    # chunks its steps.
                     events = self.events
-                    if events is not None and events.active:
+                    if last is None and events is not None and \
+                            events.active:
                         for channel, blocks in starved:
                             events.emit(KvPressure(
                                 time=self._now, channel=channel,
                                 needed_blocks=blocks,
                                 free_blocks=self.allocators[channel]
                                 .free_blocks))
-                    boundary = True
                     break
             latency, end = self._charge(
                 self.grouped.run(state.plan, state.shift))
@@ -591,26 +587,28 @@ class IterationScheduler:
             state.advance()
             state.flush_fresh(self.latency_tracker, end)
             last = self._commit(latency, state.batch_size)
-            steps += 1
-        if boundary or steps == 0 or state.steps_until_finish() <= 0:
-            self.sync_grouped()
+        self.sync_grouped(state)
         return last
 
-    def run_iteration(self, max_steps: int = 1) -> Optional[IterationRecord]:
+    def run_iteration(self, max_steps: int = 1,
+                      until: Optional[float] = None
+                      ) -> Optional[IterationRecord]:
         """Execute one iteration; returns ``None`` when nothing is runnable.
 
         When the batch is empty but requests are still due to arrive, the
         scheduler idles forward to the earliest arrival time.  Under
         grouping, up to ``max_steps`` steady-state iterations may commit
-        in one call (group-commit); the returned record is the last one.
+        in one call (group-commit), each after the first only if it
+        starts before ``until``; the returned record is the last one,
+        and every request, allocator and tracker is up to date on return.
         """
         if self._grouping_active():
-            record = self._grouped_steps(max_steps)
+            record = self._grouped_steps(
+                max_steps, math.inf if until is None else until)
             if record is not None:
                 return record
             # A boundary is pending (retirement, admission, KV pressure)
-            # or the batch is empty: fall through to the per-request path
-            # with all deferred state already synchronized.
+            # or the batch is empty: fall through to the per-request path.
         resilience = self.resilience
         if resilience is not None:
             self._resilient_boundary()
@@ -678,5 +676,4 @@ class IterationScheduler:
             budget = max_iterations - len(self.stats.iterations)
             if self.run_iteration(max_steps=budget) is None:
                 break
-        self.sync_grouped()
         return self.stats

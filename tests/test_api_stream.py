@@ -38,6 +38,13 @@ def replay_spec(grouping="auto", requests=48):
                             kv_capacity_bytes=1 << 30, grouping=grouping))
 
 
+def stack_state(session):
+    """Everything a caller may read between steps, as plain values."""
+    return ([(r.generated, r.status, r.channel) for r in session.arrivals],
+            [allocator.used_blocks for allocator in session.allocators],
+            list(session.load_tracker.loads))
+
+
 class TestEventBus:
     def test_inactive_until_subscribed(self):
         bus = EventBus()
@@ -133,8 +140,21 @@ class TestStreamBatchEquality:
         stepped.materialize()
         while stepped.step() is not None:
             pass
-        stepped.scheduler.sync_grouped()
         assert stepped.result().to_dict() == batch.to_dict()
+
+    def test_no_stale_state_between_steps(self):
+        """A grouped window never outlives the step that opened it."""
+        auto = Session(replay_spec("auto")).materialize()
+        off = Session(replay_spec("off")).materialize()
+        steps = 0
+        while True:
+            record = auto.step()
+            assert (record is None) == (off.step() is None)
+            if record is None:
+                break
+            steps += 1
+            assert stack_state(auto) == stack_state(off), steps
+        assert steps == len(auto.scheduler.stats.iterations) > 1
 
     def test_grouping_modes_agree_through_stream(self):
         auto = Session(replay_spec("auto"))
@@ -195,6 +215,24 @@ class TestEventTaxonomy:
         events = list(session.stream())
         assert [e for e in events if isinstance(e, KvPressure)]
 
+    def test_kv_pressure_reported_once_per_starved_iteration(self):
+        # A window that stops on a KV shortage after committing steps
+        # leaves the report to the call that hands the iteration over,
+        # so the pressure stream does not depend on step chunking.
+        def pressure(max_steps):
+            session = Session(poisson_spec(
+                "auto", kv_capacity_bytes=1 << 22, max_batch_size=8))
+            session.materialize()
+            seen = []
+            session.events.subscribe(KvPressure, seen.append)
+            while session.step(max_steps=max_steps) is not None:
+                pass
+            return seen
+
+        single = pressure(1)
+        assert single
+        assert pressure(1000) == single
+
     def test_subscribers_see_events_during_batch_run(self):
         session = Session(poisson_spec("auto"))
         seen = []
@@ -232,12 +270,14 @@ class TestRunUntil:
 
     def test_predicate_sees_synchronized_state(self):
         session = Session(replay_spec("auto"))
+        twin = Session(replay_spec("off")).materialize()
         observed = []
 
         def snoop(s):
-            # Grouped windows must be flushed before the predicate runs:
-            # the pool's running requests carry exact generated counts.
-            assert s.scheduler._grouped_state is None
+            # The predicate sees exactly the state the per-request path
+            # has after the same iteration.
+            twin.step()
+            assert stack_state(s) == stack_state(twin)
             observed.append(len(s.pool.running()))
             return False
 

@@ -205,6 +205,32 @@ class TestGroupingInvariance:
                    for grouping in ("auto", "off")]
         assert results[0].to_dict() == results[1].to_dict()
 
+    def test_dispatch_windows_run_up_to_the_next_arrival(self):
+        import dataclasses
+        from repro.serving.events import WindowCommitted
+        # Arrivals sparser than iterations, so nodes step between them.
+        sparse = TrafficSpec.poisson(dataset="sharegpt",
+                                     rate_per_kcycle=0.005,
+                                     horizon_cycles=2e7, seed=11,
+                                     max_requests=24)
+
+        def fleet(grouping):
+            return dataclasses.replace(
+                self._fleet(grouping, policy="least-loaded"), traffic=sparse)
+
+        router = Router(fleet("auto"))
+        router.materialize()
+        windows = []
+        for handle in router.handles:
+            handle.session.events.subscribe(WindowCommitted, windows.append)
+        last_arrival = router.stream[-1].arrival_time
+        payload = router.run().to_dict()
+        # Between two arrivals one node step commits a multi-iteration
+        # window, and routing is unchanged.
+        assert any(w.iterations > 1 and w.time < last_arrival
+                   for w in windows)
+        assert payload == run_fleet(fleet("off")).to_dict()
+
     def test_degraded_nodes_keep_grouped_windows(self):
         from repro.serving.events import WindowCommitted
         faults = dict(policy="least-loaded", fault_seed=4,

@@ -210,7 +210,6 @@ class TestConservation:
         origin.pool.submit(request)
         for _ in range(3):
             origin.step()
-        origin.scheduler.sync_grouped()
         released_at = request.seq_len
         origin.scheduler.release_request(request)
         target.pool.submit(request)

@@ -224,6 +224,13 @@ class TestSpecRoundTrip:
         with pytest.raises(ValueError):
             ServingSpec(shed_wait_cycles=0.0)
 
+    def test_resilience_active_follows_the_knobs(self):
+        assert not ServingSpec().resilience_active
+        assert not ServingSpec(retry_backoff_cycles=5.0).resilience_active
+        assert ServingSpec(deadline_cycles=1.0).resilience_active
+        assert ServingSpec(max_retries=1).resilience_active
+        assert ServingSpec(shed_wait_cycles=1.0).resilience_active
+
     def test_unknown_faults_name_rejected_at_spec_time(self):
         with pytest.raises(ValueError):
             ScenarioSpec(model="gpt3-7b", fidelity="analytic",

@@ -168,10 +168,29 @@ class TestGroupCommitWindows:
         record = scheduler.run_iteration(max_steps=10)
         assert record is not None
         assert len(scheduler.stats.iterations) == 10
-        # Deferred state: pool objects untouched until sync.
-        scheduler.sync_grouped()
-        generated = [r.generated for r in scheduler.pool.running()]
-        assert generated  # batch still running after 10 iterations
+        # The window closed inside the call: every request carries the
+        # ten committed tokens.
+        running = scheduler.pool.running()
+        assert running  # batch still running after 10 iterations
+        assert all(r.generated == 10 for r in running)
+
+    def test_window_stops_before_until(self):
+        reference = self._scheduler()
+        reference.run(max_iterations=12)
+        until = reference.stats.iterations[6].start_time
+        scheduler = self._scheduler()
+        scheduler.run_iteration(max_steps=100, until=until)
+        # Iterations 0..5 start before ``until``; 6 starts at it.
+        assert len(scheduler.stats.iterations) == 6
+        assert all(r.generated == 6 for r in scheduler.pool.running())
+        # The first iteration of a call always runs.
+        scheduler.run_iteration(max_steps=100, until=0.0)
+        assert len(scheduler.stats.iterations) == 7
+        a = [(r.index, r.start_time, r.latency, r.batch_size)
+             for r in reference.stats.iterations[:7]]
+        b = [(r.index, r.start_time, r.latency, r.batch_size)
+             for r in scheduler.stats.iterations]
+        assert a == b
 
     def test_single_step_calls_match_run(self):
         full = self._scheduler()
@@ -180,7 +199,6 @@ class TestGroupCommitWindows:
         for _ in range(25):
             if stepped.run_iteration(max_steps=1) is None:
                 break
-        stepped.sync_grouped()
         a = [(r.index, r.start_time, r.latency, r.batch_size)
              for r in full.stats.iterations[:25]]
         b = [(r.index, r.start_time, r.latency, r.batch_size)

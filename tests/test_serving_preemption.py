@@ -149,7 +149,8 @@ class TestResilientReadmission:
     def _run_randomized(self, seed):
         import random
 
-        from repro.faults import ResiliencePolicy, ResilienceRuntime
+        from repro.api import ServingSpec
+        from repro.faults import ResilienceRuntime
         from repro.serving.events import RequestRetried
         from repro.serving.scheduler import IterationScheduler
         from repro.sim.events import EventBus
@@ -166,8 +167,7 @@ class TestResilientReadmission:
         preempting = PreemptingAllocatorPool(
             [allocator], GPT3_7B.kv_bytes_per_token())
         runtime = ResilienceRuntime(
-            ResiliencePolicy(max_retries=100,
-                             retry_backoff_cycles=500.0),
+            ServingSpec(max_retries=100, retry_backoff_cycles=500.0),
             preempting=preempting)
         pool = RequestPool()
         pool.submit_all(requests)

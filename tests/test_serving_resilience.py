@@ -14,7 +14,6 @@ from repro.faults import (
     FaultPlan,
     KvFault,
     RequestAbort,
-    ResiliencePolicy,
     ResilienceRuntime,
 )
 from repro.faults.plan import ChannelStall
@@ -41,10 +40,10 @@ def request(rid, output_len=10, arrival=0.0):
                             arrival_time=arrival)
 
 
-def scheduler_with(requests, policy, injector=None, **kwargs):
+def scheduler_with(requests, serving, injector=None, **kwargs):
     pool = RequestPool()
     pool.submit_all(requests)
-    runtime = ResilienceRuntime(policy, injector=injector)
+    runtime = ResilienceRuntime(serving, injector=injector)
     scheduler = IterationScheduler(pool, constant_executor,
                                    max_batch_size=kwargs.pop("batch", 4),
                                    resilience=runtime, **kwargs)
@@ -53,10 +52,10 @@ def scheduler_with(requests, policy, injector=None, **kwargs):
 
 class TestDeadlinesAndRetries:
     def test_timeout_retries_then_terminates(self):
-        policy = ResiliencePolicy(deadline_cycles=2500.0, max_retries=1,
-                                  retry_backoff_cycles=500.0)
+        serving = ServingSpec(deadline_cycles=2500.0, max_retries=1,
+                              retry_backoff_cycles=500.0)
         scheduler, runtime = scheduler_with([request(0, output_len=50)],
-                                            policy)
+                                            serving)
         scheduler.run(max_iterations=100)
         assert scheduler.outcomes == {0: "timed_out"}
         assert runtime.counters["timeouts"] == 2
@@ -65,10 +64,10 @@ class TestDeadlinesAndRetries:
         assert len(scheduler.pool) == 0
 
     def test_retry_rebases_deadline_and_applies_backoff(self):
-        policy = ResiliencePolicy(deadline_cycles=2500.0, max_retries=1,
-                                  retry_backoff_cycles=500.0)
+        serving = ServingSpec(deadline_cycles=2500.0, max_retries=1,
+                              retry_backoff_cycles=500.0)
         scheduler, runtime = scheduler_with([request(0, output_len=50)],
-                                            policy)
+                                            serving)
         # Three iterations pass the deadline at the fourth boundary
         # (now = 3000 > 2500); the retry re-arrives at 3000 + 500 and is
         # re-admitted by the same iteration's idle-forward jump.
@@ -82,29 +81,29 @@ class TestDeadlinesAndRetries:
         assert scheduler.now == pytest.approx(4500.0)
 
     def test_completes_before_deadline_keeps_completed_status(self):
-        policy = ResiliencePolicy(deadline_cycles=1e6, max_retries=1)
+        serving = ServingSpec(deadline_cycles=1e6, max_retries=1)
         scheduler, runtime = scheduler_with([request(0, output_len=5)],
-                                            policy)
+                                            serving)
         scheduler.run(max_iterations=100)
         assert scheduler.outcomes == {0: "completed"}
         assert runtime.counters["timeouts"] == 0
 
     def test_zero_retries_times_out_terminally_at_once(self):
-        policy = ResiliencePolicy(deadline_cycles=2500.0, max_retries=0)
+        serving = ServingSpec(deadline_cycles=2500.0, max_retries=0)
         scheduler, runtime = scheduler_with([request(0, output_len=50)],
-                                            policy)
+                                            serving)
         scheduler.run(max_iterations=100)
         assert scheduler.outcomes == {0: "timed_out"}
         assert runtime.counters["retries"] == 0
 
     def test_timeout_and_retry_events_emitted(self):
         from repro.sim.events import EventBus
-        policy = ResiliencePolicy(deadline_cycles=2500.0, max_retries=1,
-                                  retry_backoff_cycles=500.0)
+        serving = ServingSpec(deadline_cycles=2500.0, max_retries=1,
+                              retry_backoff_cycles=500.0)
         bus = EventBus()
         seen = []
         bus.subscribe(None, seen.append)
-        scheduler, _ = scheduler_with([request(0, output_len=50)], policy,
+        scheduler, _ = scheduler_with([request(0, output_len=50)], serving,
                                       events=bus)
         scheduler.run(max_iterations=100)
         timeouts = [e for e in seen if isinstance(e, RequestTimedOut)]
@@ -118,10 +117,10 @@ class TestDeadlinesAndRetries:
 
 class TestSheddingAndAborts:
     def test_waiting_request_past_window_is_shed(self):
-        policy = ResiliencePolicy(shed_wait_cycles=1500.0)
+        serving = ServingSpec(shed_wait_cycles=1500.0)
         blocker = request(0, output_len=50)
         starved = request(1, output_len=5)
-        scheduler, runtime = scheduler_with([blocker, starved], policy,
+        scheduler, runtime = scheduler_with([blocker, starved], serving,
                                             batch=1)
         scheduler.run(max_iterations=10)
         assert scheduler.outcomes[1] == "shed"
@@ -131,13 +130,13 @@ class TestSheddingAndAborts:
 
     def test_shed_event_reports_wait(self):
         from repro.sim.events import EventBus
-        policy = ResiliencePolicy(shed_wait_cycles=1500.0)
+        serving = ServingSpec(shed_wait_cycles=1500.0)
         bus = EventBus()
         shed = []
         bus.subscribe(RequestShed, shed.append)
         scheduler, _ = scheduler_with(
             [request(0, output_len=50), request(1, output_len=5)],
-            policy, batch=1, events=bus)
+            serving, batch=1, events=bus)
         scheduler.run(max_iterations=10)
         assert len(shed) == 1
         assert shed[0].request_id == 1
@@ -146,9 +145,9 @@ class TestSheddingAndAborts:
     def test_abort_terminates_running_victim(self):
         plan = FaultPlan(seed=0, faults=(
             RequestAbort(start=1500.0, duration=0.0, ordinal=0),))
-        policy = ResiliencePolicy(deadline_cycles=1e6)
+        serving = ServingSpec(deadline_cycles=1e6)
         scheduler, runtime = scheduler_with(
-            [request(0, output_len=50)], policy,
+            [request(0, output_len=50)], serving,
             injector=FaultInjector(plan))
         scheduler.run(max_iterations=10)
         assert scheduler.outcomes == {0: "aborted"}
@@ -169,7 +168,7 @@ class TestKvFaultWindows:
         from repro.serving.events import RequestAdmitted
         plan = FaultPlan(seed=0, faults=(
             KvFault(start=0.0, duration=2500.0, channel=0),))
-        policy = ResiliencePolicy(deadline_cycles=1e6)
+        serving = ServingSpec(deadline_cycles=1e6)
         bus = EventBus()
         admitted = []
         bus.subscribe(RequestAdmitted, admitted.append)
@@ -184,7 +183,7 @@ class TestKvFaultWindows:
         blocked = request(0, output_len=10)
         driver = request(1, output_len=10)
         pool.submit_all([blocked, driver])
-        runtime = ResilienceRuntime(policy, injector=FaultInjector(plan))
+        runtime = ResilienceRuntime(serving, injector=FaultInjector(plan))
         scheduler = IterationScheduler(
             pool, constant_executor, max_batch_size=4,
             allocators=[self._allocator(), self._allocator()],
@@ -203,7 +202,7 @@ class TestLatencyPenalties:
         plan = FaultPlan(seed=0, faults=(
             ChannelStall(start=0.0, duration=1e5, channel=0,
                          stall_cycles=250.0),))
-        runtime = ResilienceRuntime(ResiliencePolicy(),
+        runtime = ResilienceRuntime(ServingSpec(),
                                     injector=FaultInjector(plan))
         runtime.charge(100.0)
         batch = [InferenceRequest(0, input_len=8, output_len=8, channel=0)]
@@ -233,7 +232,7 @@ class TestLatencyPenalties:
                 req.channel = 0
 
         scheduler, _ = scheduler_with(
-            [request(0, output_len=4)], ResiliencePolicy(),
+            [request(0, output_len=4)], ServingSpec(),
             injector=FaultInjector(plan), latency_tracker=tracker,
             assign_channels=on_channel_zero)
         scheduler.run(max_iterations=10)
