@@ -292,7 +292,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     Runs the chaos harness (:mod:`repro.faults.chaos`): every fault seed
     is swept across grouping ``auto | off`` and ``batch | stream``
     consumption, conservation/monotonicity invariants are checked on
-    each cell, and the four result payloads must be bit-identical.  Any
+    each cell, the four result payloads must be bit-identical and the
+    ``auto`` cells must commit grouped iterations.  Any
     violation prints to stderr and fails the command — the CI
     ``chaos-smoke`` contract.
 
@@ -322,10 +323,13 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         rows = [(cell["fault_seed"], cell["grouping"], cell["mode"],
                  cell["requests"], cell["completed"], cell["timed_out"],
                  cell["shed"], cell["aborted"], cell["retries"],
-                 cell["faults"]) for cell in report["cells"]]
+                 cell["faults"],
+                 f"{cell['grouped_iterations']}/{cell['iterations']}")
+                for cell in report["cells"]]
         print(format_table(
             ["seed", "grouping", "mode", "requests", "completed",
-             "timed_out", "shed", "aborted", "retries", "faults"],
+             "timed_out", "shed", "aborted", "retries", "faults",
+             "grouped"],
             rows, title="chaos harness (seeded fault sweeps)"))
     _dump_json(args.json_path, report)
     if report["violations"]:

@@ -15,7 +15,11 @@ conditions:
   retries and idle-forward jumps;
 * **determinism** — for a fixed ``(spec, fault_seed)`` the full
   ``RunResult`` payload is bit-identical across grouping ``auto | off``
-  and ``stream | batch`` consumption.
+  and ``stream | batch`` consumption.  The ``auto`` cells run grouped
+  windows that stop at every resilience boundary, and each cell reports
+  the iterations its windows committed: a sweep whose ``auto`` cells
+  commit none would pin ``auto == off`` by construction, so it is a
+  violation.
 
 The **fleet** harness extends the same methodology to the cluster tier
 (:mod:`repro.cluster`): seeded node-kill schedules against a routed
@@ -149,10 +153,14 @@ def run_chaos(seeds: int = 3, *, requests: int = 16) -> Dict[str, Any]:
     For every seed, runs the chaos scenario under grouping ``auto`` and
     ``off``, each consumed both batch (``session.run()``) and streamed
     (``session.stream()``), verifies the invariants on each cell, and
-    checks the four ``RunResult`` payloads are bit-identical.  Returns a
+    checks the four ``RunResult`` payloads are bit-identical.  Each cell
+    counts its grouped windows and the iterations they committed (from
+    ``WindowCommitted`` events); ``auto`` cells that commit none are a
+    violation, so the identity check cannot hold vacuously.  Returns a
     JSON-ready report with per-cell summaries and all violations.
     """
     from repro.api.session import Session
+    from repro.serving.events import WindowCommitted
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     cells: List[Dict[str, Any]] = []
@@ -164,6 +172,10 @@ def run_chaos(seeds: int = 3, *, requests: int = 16) -> Dict[str, Any]:
                 spec = chaos_spec(fault_seed, requests=requests,
                                   grouping=grouping)
                 session = Session(spec)
+                windows: List[int] = []
+                session.events.subscribe(
+                    WindowCommitted,
+                    lambda event, log=windows: log.append(event.iterations))
                 if mode == "stream":
                     for _ in session.stream():
                         pass
@@ -186,6 +198,8 @@ def run_chaos(seeds: int = 3, *, requests: int = 16) -> Dict[str, Any]:
                     "aborted": summary.get("aborted", 0),
                     "retries": summary.get("retries", 0),
                     "faults": summary.get("faults", 0),
+                    "windows": len(windows),
+                    "grouped_iterations": sum(windows),
                 })
                 payloads[f"{grouping}/{mode}"] = result.to_dict()
         reference = payloads["auto/batch"]
@@ -194,6 +208,10 @@ def run_chaos(seeds: int = 3, *, requests: int = 16) -> Dict[str, Any]:
                 violations.append(
                     f"seed {fault_seed}: records diverge between "
                     f"auto/batch and {key}")
+    if not any(cell["grouped_iterations"] for cell in cells
+               if cell["grouping"] == "auto"):
+        violations.append("vacuous: grouping auto cells committed no "
+                          "grouped iteration")
     return {
         "seeds": seeds,
         "requests_per_cell": requests,
@@ -205,6 +223,7 @@ def run_chaos(seeds: int = 3, *, requests: int = 16) -> Dict[str, Any]:
             "iteration records and latency timestamps monotone",
             "records bit-identical across grouping auto|off and "
             "stream|batch for fixed (spec, fault_seed)",
+            "grouping auto cells commit grouped iterations",
         ],
     }
 

@@ -1,11 +1,14 @@
 """Runtime that feeds a :class:`~repro.faults.plan.FaultPlan` into serving.
 
 The :class:`FaultInjector` is polled by the iteration scheduler at every
-iteration boundary.  It exposes four queries, all pure with respect to
+iteration boundary.  It exposes these queries, all pure with respect to
 simulated time except for the activation cursor and pending-abort queue:
 
 * :meth:`poll` — faults whose start time has been reached since the last
   poll (for event emission and abort queuing);
+* :meth:`next_start` / :meth:`has_pending_aborts` — whether the next
+  boundary has anything to poll or abort (read by
+  :meth:`~repro.faults.resilience.ResilienceRuntime.window_guard`);
 * :meth:`latency_penalty` — extra cycles a fault window adds to an
   iteration touching a degraded/stalled channel;
 * :meth:`kv_blocked` — whether a channel's KV pool is inside a
@@ -20,6 +23,7 @@ preserving the zero-overhead default.
 
 from __future__ import annotations
 
+import math
 from typing import Any, List, Sequence
 
 from repro.faults.plan import (FaultPlan, KvFault, NodeDegrade, NodeDown,
@@ -52,6 +56,17 @@ class FaultInjector:
             if isinstance(fault, RequestAbort):
                 self._pending_aborts.append(fault)
         return fired
+
+    def next_start(self) -> float:
+        """Start of the next fault :meth:`poll` has not returned (or inf)."""
+        faults = self.plan.faults
+        if self._cursor < len(faults):
+            return faults[self._cursor].start
+        return math.inf
+
+    def has_pending_aborts(self) -> bool:
+        """Whether polled aborts await :meth:`take_aborts`."""
+        return bool(self._pending_aborts)
 
     def latency_penalty(self, now: float, latency: float,
                         batch: Sequence[Any]) -> float:

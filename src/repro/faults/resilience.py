@@ -13,18 +13,21 @@ knobs are the ``ServingSpec`` resilience fields, read directly.
 A session only constructs a runtime when ``faults != "none"`` or
 ``ServingSpec.resilience_active``; the default path carries no runtime
 and the scheduler's fault branches reduce to ``resilience is not None``
-checks.
+checks.  Grouped windows stop before the first iteration at which a
+boundary would act (:meth:`ResilienceRuntime.window_guard`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
+import math
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence
 
 from repro.faults.injector import FaultInjector
 from repro.serving.preemption import PreemptingAllocatorPool
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.api.spec import ServingSpec
+    from repro.serving.pool import RequestPool
 
 __all__ = ["ResilienceRuntime"]
 
@@ -82,3 +85,47 @@ class ResilienceRuntime:
         if self.injector is not None:
             extra += self.injector.latency_penalty(now, latency, batch)
         return latency + extra
+
+    def window_guard(self, now: float, batch: Sequence[Any],
+                     pool: "RequestPool"
+                     ) -> Optional[Callable[[float], bool]]:
+        """When a grouped window over the frozen ``batch`` must stop.
+
+        ``None`` when no window may open at ``now``: aborts are queued,
+        or a KV fault blocks a batch channel, where every per-request
+        growth step raises.  Otherwise a ``due(t)`` predicate, true at
+        the first iteration start ``t`` where the per-request boundary
+        would act: the next unpolled fault starts, a batch request
+        passes its deadline, or a waiting request passes the shedding
+        window.  Float subtraction is monotone, so testing the smallest
+        deadline base and waiting arrival is exact.  The batch is frozen
+        and polls, retries and admissions only happen at boundaries, so
+        nothing the predicate reads changes inside a window.
+        """
+        injector = self.injector
+        next_start = math.inf
+        if injector is not None:
+            if injector.has_pending_aborts() or any(
+                    injector.kv_blocked(now, channel)
+                    for channel in {r.channel for r in batch}):
+                return None
+            next_start = injector.next_start()
+        serving = self.serving
+        deadline = serving.deadline_cycles
+        if deadline is None:
+            deadline = min_base = math.inf  # t - inf > inf never holds
+        else:
+            base = self.deadline_base
+            min_base = min(base.get(r.request_id, r.arrival_time)
+                           for r in batch)
+        shed_wait = serving.shed_wait_cycles
+        waiting = pool.waiting() if shed_wait is not None else None
+        if waiting:
+            min_arrival = waiting[0].arrival_time
+        else:
+            shed_wait = min_arrival = math.inf
+
+        def due(t: float) -> bool:
+            return (next_start <= t or t - min_base > deadline
+                    or t - min_arrival > shed_wait)
+        return due

@@ -118,20 +118,20 @@ class IterationScheduler:
         re-estimating the whole resident set each iteration.
     grouping / grouped:
         The equivalence-class fast path.  With ``grouping="auto"`` and a
-        :class:`~repro.serving.grouping.GroupedExecutor`,
-        steady-state iterations (no retirements, no admissible arrivals,
-        enough KV blocks for the batched growth) commit through the
-        class-grouped engine: the iteration latency comes from the frozen
-        class plan plus a uniform seq_len shift, request objects are left
-        untouched while the window runs, and paged-KV growth, load
+        :class:`~repro.serving.grouping.GroupedExecutor`, steady-state
+        iterations (no retirements, no admissible arrivals, enough KV blocks
+        for the batched growth, no resilience boundary due) commit through
+        the class-grouped engine: the iteration latency comes from the
+        frozen class plan plus a uniform seq_len shift, request objects are
+        left untouched while the window runs, and paged-KV growth, load
         tracking and latency bookkeeping happen as batched per-class
         operations.  A window closes (its deferred state written back)
-        inside the :meth:`run_iteration` call that opened it, so callers
-        may inspect the pool, requests, allocators and load tracker after
-        any call.  Because the per-request path computes latencies from
-        the same class histograms, records and aggregates are
-        bit-identical between modes.  ``"off"`` (the default for
-        hand-built schedulers) never groups.
+        inside the :meth:`run_iteration` call that opened it, so callers may
+        inspect the pool, requests, allocators and load tracker after any
+        call.  Because the per-request path computes latencies from the same
+        class histograms, records and aggregates are bit-identical between
+        modes.  ``"off"`` (the default for hand-built schedulers) never
+        groups.
     latency_tracker:
         Optional :class:`~repro.serving.latency.LatencyTracker`.  The
         scheduler advances its clock by every charged iteration latency
@@ -159,10 +159,10 @@ class IterationScheduler:
         the budget lasts) and sheds waiting requests past the shedding
         window; every iteration is charged the runtime's fault latency
         penalties and owed restore cycles.  ``None`` (the default) keeps
-        every fault branch to a single ``is not None`` check; the
-        grouped fast path is disabled while a runtime is attached so
-        grouping ``auto`` and ``off`` stay bit-identical under faults by
-        construction.
+        every fault branch to a single ``is not None`` check.  Grouped
+        windows run with a runtime attached: each stops before the
+        first iteration at which one of these boundaries would act (see
+        :meth:`~repro.faults.resilience.ResilienceRuntime.window_guard`).
     """
 
     def __init__(
@@ -456,12 +456,12 @@ class IterationScheduler:
     # ------------------------------------------------------------------
 
     def _charge(self, latency: float,
-                batch: Sequence[InferenceRequest] = ()) -> Tuple[float, float]:
+                batch: Sequence[InferenceRequest]) -> Tuple[float, float]:
         """The charged latency and end time of the iteration starting now.
 
-        Adds the resilience runtime's fault penalties and owed restore
-        cycles (only ever attached on the per-request path), applies the
-        latency hook, and advances the latency tracker's clock.
+        Adds the resilience runtime's fault penalties on ``batch``'s
+        channels and owed restore cycles, applies the latency hook, and
+        advances the latency tracker's clock.
         """
         now = self._now
         if self.resilience is not None:
@@ -497,14 +497,6 @@ class IterationScheduler:
     # ------------------------------------------------------------------
     # Class-grouped fast path.
     # ------------------------------------------------------------------
-
-    def _grouping_active(self) -> bool:
-        # Resilience needs per-iteration boundaries (deadlines, fault
-        # windows, aborts), so the grouped fast path stands down while a
-        # runtime is attached — grouping auto|off are then identical by
-        # construction, which is what the chaos harness pins.
-        return (self.grouping != "off" and self.grouped is not None
-                and self.resilience is None)
 
     def sync_grouped(self, state: GroupedScheduleState) -> None:
         """Close a grouped window: write its deferred state back.
@@ -547,11 +539,18 @@ class IterationScheduler:
         batch = self.pool.running()
         if not batch:
             return None
+        due = None
+        if self.resilience is not None:
+            due = self.resilience.window_guard(self._now, batch, self.pool)
+            if due is None:
+                return None
         state = GroupedScheduleState(batch, self.grouped.prepare(batch))
         state.collect_fresh(self.latency_tracker)
         last: Optional[IterationRecord] = None
         for _ in range(max_steps):
             if last is not None and self._now >= until:
+                break
+            if due is not None and due(self._now):
                 break
             if state.steps_until_finish() <= 0:
                 break
@@ -581,7 +580,7 @@ class IterationScheduler:
                                 .free_blocks))
                     break
             latency, end = self._charge(
-                self.grouped.run(state.plan, state.shift))
+                self.grouped.run(state.plan, state.shift), state.batch)
             for channel, blocks in need.items():
                 self.allocators[channel].bulk_reserve(blocks)
             state.advance()
@@ -602,13 +601,14 @@ class IterationScheduler:
         starts before ``until``; the returned record is the last one,
         and every request, allocator and tracker is up to date on return.
         """
-        if self._grouping_active():
+        if self.grouping != "off" and self.grouped is not None:
             record = self._grouped_steps(
                 max_steps, math.inf if until is None else until)
             if record is not None:
                 return record
-            # A boundary is pending (retirement, admission, KV pressure)
-            # or the batch is empty: fall through to the per-request path.
+            # A boundary is pending (retirement, admission, KV pressure,
+            # resilience) or the batch is empty: fall through to the
+            # per-request path.
         resilience = self.resilience
         if resilience is not None:
             self._resilient_boundary()

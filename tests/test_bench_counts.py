@@ -1,0 +1,76 @@
+"""The BENCH call-count gate (``benchmarks/check_bench_counts.py``)."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / \
+    "check_bench_counts.py"
+_SPEC = importlib.util.spec_from_file_location("check_bench_counts", _PATH)
+gate = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(gate)
+
+
+class TestCountRegressions:
+    def test_equal_and_lower_counts_pass(self):
+        recorded = {"fleet.kv.calls": {"value": 10},
+                    "fleet.pool.calls": {"value": 5}}
+        measured = {"fleet.kv.calls": {"value": 10},
+                    "fleet.pool.calls": {"value": 4}}
+        assert gate.count_regressions(recorded, measured) == []
+
+    def test_higher_count_fails(self):
+        recorded = {"fleet.kv.calls": {"value": 10}}
+        measured = {"fleet.kv.calls": {"value": 11}}
+        (problem,) = gate.count_regressions(recorded, measured)
+        assert problem.startswith("fleet.kv.calls")
+
+    def test_timings_and_other_metrics_are_not_gated(self):
+        recorded = {"fleet.kv.s": {"value": 0.1},
+                    "fleet.grouping.windows": {"value": 1}}
+        measured = {"fleet.kv.s": {"value": 9.0},
+                    "fleet.grouping.windows": {"value": 9}}
+        assert gate.count_regressions(recorded, measured) == []
+
+    def test_missing_count_fails(self):
+        recorded = {"fleet.latency.calls": {"value": 3}}
+        assert gate.count_regressions(recorded, {}) == [
+            "fleet.latency.calls: missing from the run"]
+
+
+class TestGateEntry:
+    def test_newest_bench_by_number(self, tmp_path):
+        for n in (2, 10, 9):
+            (tmp_path / f"BENCH_{n}.json").write_text("{}")
+        (tmp_path / "BENCH_draft.json").write_text("{}")
+        assert gate.newest_bench(tmp_path).name == "BENCH_10.json"
+
+    def test_no_bench_file_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            gate.newest_bench(tmp_path)
+
+    def test_saved_result_checked_against_bench(self, tmp_path):
+        recorded = {"w.kv.calls": {"value": 5, "unit": "count"}}
+        bench = tmp_path / "BENCH_1.json"
+        bench.write_text(json.dumps(
+            {"trace": {"result": {"metrics": recorded}}}))
+        result = tmp_path / "out.txt"
+        result.write_text("report line\n" + json.dumps(
+            {"correct": True, "metrics": recorded}) + "\n")
+        args = ["--bench", str(bench), "--result", str(result)]
+        assert gate.main(args) == 0
+        result.write_text(json.dumps(
+            {"correct": True,
+             "metrics": {"w.kv.calls": {"value": 6}}}))
+        assert gate.main(args) == 1
+        result.write_text(json.dumps(
+            {"correct": False, "metrics": recorded}))
+        assert gate.main(args) == 1
+
+    def test_committed_bench_has_a_trace_pass(self):
+        bench = json.loads(gate.newest_bench().read_text())
+        counted = [key for key in bench["trace"]["result"]["metrics"]
+                   if key.split(".", 1)[1] in gate.COUNTS]
+        assert len(counted) == 4 * len(gate.COUNTS)

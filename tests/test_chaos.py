@@ -29,6 +29,24 @@ class TestChaosSweep:
         assert totals["retries"] > 0
         assert non_completed > 0
 
+    def test_auto_cells_commit_grouped_windows(self):
+        report = run_chaos(seeds=1)
+        for cell in report["cells"]:
+            if cell["grouping"] == "auto":
+                assert cell["windows"] > 0
+                assert 0 < cell["grouped_iterations"] <= cell["iterations"]
+            else:
+                assert cell["windows"] == cell["grouped_iterations"] == 0
+
+    def test_auto_cells_without_windows_are_a_violation(self, monkeypatch):
+        # With every window refused, auto == off would hold vacuously.
+        from repro.faults import ResilienceRuntime
+        monkeypatch.setattr(ResilienceRuntime, "window_guard",
+                            lambda self, now, batch, pool: None)
+        report = run_chaos(seeds=1)
+        assert report["violations"] == [
+            "vacuous: grouping auto cells committed no grouped iteration"]
+
     def test_report_is_deterministic(self):
         assert run_chaos(seeds=1) == run_chaos(seeds=1)
 

@@ -149,6 +149,33 @@ class TestFaultInjector:
         # Consumed: nothing left.
         assert injector.take_aborts(8.0, batch) == []
 
+    def test_next_start_tracks_the_poll_cursor(self):
+        plan = FaultPlan(seed=0, faults=(
+            KvFault(start=20.0, duration=5.0),
+            ChannelDegrade(start=10.0, duration=5.0),
+        ))
+        injector = FaultInjector(plan)
+        assert injector.next_start() == 10.0
+        injector.poll(9.0)
+        assert injector.next_start() == 10.0
+        injector.poll(10.0)
+        assert injector.next_start() == 20.0
+        injector.poll(30.0)
+        assert injector.next_start() == float("inf")
+
+    def test_has_pending_aborts_until_taken(self):
+        plan = FaultPlan(seed=0, faults=(
+            RequestAbort(start=5.0, duration=0.0, ordinal=0),))
+        injector = FaultInjector(plan)
+        assert not injector.has_pending_aborts()
+        injector.poll(6.0)
+        assert injector.has_pending_aborts()
+        # No running requests: still queued.
+        injector.take_aborts(6.0, [])
+        assert injector.has_pending_aborts()
+        injector.take_aborts(7.0, [running(0, 0)])
+        assert not injector.has_pending_aborts()
+
     def test_duplicate_abort_victims_deduplicated(self):
         plan = FaultPlan(seed=0, faults=(
             RequestAbort(start=1.0, duration=0.0, ordinal=0),

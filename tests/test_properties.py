@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import ScenarioSpec, ServingSpec, Session, TrafficSpec
 from repro.core.binpack import (
     channel_loads,
     greedy_min_load_assign,
@@ -190,3 +191,62 @@ class TestOperatorProperties:
         qkv_a = next(op for op in ops_a if op.name == "qkv_generation")
         qkv_b = next(op for op in ops_b if op.name == "qkv_generation")
         assert qkv_a.flops == qkv_b.flops
+
+
+@st.composite
+def resilient_scenarios(draw):
+    """A small faulted serving scenario with random resilience knobs."""
+    cycles = st.integers(min_value=1, max_value=40).map(lambda k: k * 1e6)
+    serving = ServingSpec(
+        max_batch_size=draw(st.integers(min_value=2, max_value=8)),
+        kv_capacity_bytes=draw(st.sampled_from([1 << 26, 1 << 27])),
+        deadline_cycles=draw(st.none() | cycles),
+        shed_wait_cycles=draw(st.none() | cycles),
+        max_retries=draw(st.integers(min_value=0, max_value=2)),
+        retry_backoff_cycles=draw(st.integers(min_value=0, max_value=10)
+                                  .map(lambda k: k * 1e5)))
+    counts = {name: draw(st.integers(min_value=0, max_value=2))
+              for name in ("degrades", "stalls", "kv_faults", "aborts")}
+    return ScenarioSpec(
+        model="gpt3-7b", system="neupims", layers_resident=2,
+        fidelity="analytic",
+        traffic=TrafficSpec.poisson(
+            rate_per_kcycle=0.02, horizon_cycles=3e6,
+            seed=draw(st.integers(min_value=0, max_value=99)),
+            max_requests=draw(st.integers(min_value=2, max_value=12))),
+        serving=serving, faults="seeded",
+        faults_options={"seed": draw(st.integers(min_value=0,
+                                                 max_value=999)),
+                        "horizon": 4e7, **counts})
+
+
+class TestResilientWindowProperties:
+    """Grouped windows under resilience change no simulated output.
+
+    Beyond the ``RunResult`` payload, the typed event streams must agree
+    (a shed waiter's time, for one, only shows there), apart from the
+    grouped path's own ``WindowCommitted`` and its hand-over
+    ``KvPressure`` reports.
+    """
+
+    @staticmethod
+    def _shared_events(seen):
+        from repro.serving.events import KvPressure, WindowCommitted
+        return [event for event in seen
+                if not isinstance(event, (KvPressure, WindowCommitted))]
+
+    @given(spec=resilient_scenarios(),
+           chunk=st.sampled_from([1, 3, 1000]))
+    @settings(max_examples=40, deadline=None)
+    def test_grouping_auto_matches_off(self, spec, chunk):
+        off = Session(spec.override(grouping="off"))
+        auto = Session(spec.override(grouping="auto"))
+        off_events, auto_events = [], []
+        off.events.subscribe(None, off_events.append)
+        auto.events.subscribe(None, auto_events.append)
+        off_result = off.run()
+        while auto.step(max_steps=chunk) is not None:
+            pass
+        assert auto.result().to_dict() == off_result.to_dict()
+        assert self._shared_events(auto_events) == \
+            self._shared_events(off_events)

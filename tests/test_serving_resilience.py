@@ -18,8 +18,10 @@ from repro.faults import (
 )
 from repro.faults.plan import ChannelStall
 from repro.model.spec import GPT3_7B
-from repro.serving.events import (RequestRetired, RequestRetried,
-                                  RequestShed, RequestTimedOut)
+from repro.serving.events import (FaultInjected, RequestRetired,
+                                  RequestRetried, RequestShed,
+                                  RequestTimedOut, WindowCommitted)
+from repro.serving.grouping import GroupedExecutor
 from repro.serving.paging import PagedKvAllocator, PagedKvConfig
 from repro.serving.pool import RequestPool
 from repro.serving.request import InferenceRequest
@@ -251,7 +253,7 @@ class TestRetryExhaustion:
     the full retry ladder and must land in ``timed_out`` exactly once —
     no double-retire, and the pool observer is detached on the way out.
     The behaviour must be identical under ``grouping="auto"`` and
-    ``"off"`` (resilience stands the grouped fast path down).
+    ``"off"`` (grouped windows stop at every resilience boundary).
     """
 
     @staticmethod
@@ -321,6 +323,125 @@ class TestRetryExhaustion:
         auto = Session(self._spec("auto")).run()
         off = Session(self._spec("off")).run()
         assert auto.to_dict() == off.to_dict()
+
+
+class TestGroupedWindowGuard:
+    """Grouped windows stop exactly where a resilience boundary acts.
+
+    Each case runs the same hand-built scheduler under grouping ``auto``
+    and ``off``: the records, outcomes and counters must agree, and the
+    grouped steps' start times show where the windows stopped.
+    """
+
+    def _run(self, grouping, make_requests, serving, plan=None, batch=4,
+             iterations=100):
+        from repro.sim.events import EventBus
+        injector = FaultInjector(plan) if plan is not None else None
+        bus = EventBus()
+        seen = []
+        bus.subscribe(None, seen.append)
+        grouped_starts = []
+        holder = {}
+
+        def grouped_run(plan, shift):
+            grouped_starts.append(holder["scheduler"].now)
+            return LATENCY
+
+        scheduler, runtime = scheduler_with(
+            make_requests(), serving, injector=injector, batch=batch,
+            events=bus, grouping=grouping,
+            grouped=GroupedExecutor(lambda batch: None, grouped_run))
+        holder["scheduler"] = scheduler
+        scheduler.run(max_iterations=iterations)
+        return scheduler, runtime, seen, grouped_starts
+
+    def _both(self, *args, **kwargs):
+        auto = self._run("auto", *args, **kwargs)
+        off = self._run("off", *args, **kwargs)
+        assert auto[0].stats.iterations == off[0].stats.iterations
+        assert auto[0].outcomes == off[0].outcomes
+        assert auto[1].counters == off[1].counters
+        assert off[3] == []
+        return auto, off
+
+    def test_deadline_mid_window_times_out_at_same_iteration(self):
+        serving = ServingSpec(deadline_cycles=2500.0)
+        auto, off = self._both(lambda: [request(0, output_len=50)], serving)
+        for scheduler, _, seen, _ in (auto, off):
+            assert scheduler.outcomes == {0: "timed_out"}
+            (timeout,) = [e for e in seen if isinstance(e, RequestTimedOut)]
+            assert timeout.time == 3000.0
+        # After the admitting iteration at 0, one window ran the
+        # iterations before the deadline and stopped at the boundary
+        # (3000 - 0 > 2500) without committing it.
+        assert auto[3] == [1000.0, 2000.0]
+        windows = [e for e in auto[2] if isinstance(e, WindowCommitted)]
+        assert [w.iterations for w in windows] == [2]
+        assert len(auto[0].stats.iterations) == 3
+
+    def test_fault_start_inside_window_ends_it_before_the_start(self):
+        plan = FaultPlan(seed=0, faults=(
+            ChannelStall(start=2500.0, duration=1000.0, channel=0,
+                         stall_cycles=250.0),))
+        serving = ServingSpec(deadline_cycles=1e9)
+        auto, off = self._both(lambda: [request(0, output_len=6)], serving,
+                               plan)
+        assert auto[1].counters["faults"] == 1
+        (fired,) = [e for e in auto[2] if isinstance(e, FaultInjected)]
+        assert fired.time == 3000.0
+        # The first window stops before the iteration starting at 3000
+        # (the first boundary at or past the fault's start); the stalled
+        # iteration runs per-request, then grouping resumes.
+        assert auto[3][:2] == [1000.0, 2000.0]
+        assert 3000.0 not in auto[3]
+        latencies = [r.latency for r in auto[0].stats.iterations]
+        assert latencies[3] == LATENCY + 250.0
+
+    def test_active_kv_fault_on_batch_channel_keeps_window_closed(self):
+        plan = FaultPlan(seed=0, faults=(
+            KvFault(start=0.0, duration=2500.0, channel=0),))
+        serving = ServingSpec(deadline_cycles=1e9)
+        auto, _ = self._both(lambda: [request(0, output_len=6)], serving,
+                             plan)
+        # Iterations at 0/1000/2000 start inside the KV window on the
+        # batch's channel; windows only open once it has closed.
+        assert auto[3] and min(auto[3]) >= 2500.0
+
+    def test_kv_fault_elsewhere_does_not_close_the_window(self):
+        plan = FaultPlan(seed=0, faults=(
+            KvFault(start=0.0, duration=1e9, channel=3),))
+        runtime = ResilienceRuntime(ServingSpec(deadline_cycles=1e9),
+                                    injector=FaultInjector(plan))
+        runtime.injector.poll(0.0)
+        batch = [InferenceRequest(0, input_len=8, output_len=8, channel=0)]
+        assert runtime.window_guard(10.0, batch, RequestPool()) is not None
+        batch[0].channel = 3
+        assert runtime.window_guard(10.0, batch, RequestPool()) is None
+
+    def test_queued_aborts_keep_window_closed(self):
+        plan = FaultPlan(seed=0, faults=(
+            RequestAbort(start=5.0, duration=0.0, ordinal=0),))
+        runtime = ResilienceRuntime(ServingSpec(),
+                                    injector=FaultInjector(plan))
+        batch = [InferenceRequest(0, input_len=8, output_len=8, channel=0)]
+        due = runtime.window_guard(0.0, batch, RequestPool())
+        assert due is not None and not due(4.0) and due(5.0)
+        runtime.injector.poll(6.0)
+        assert runtime.window_guard(6.0, batch, RequestPool()) is None
+        runtime.injector.take_aborts(6.0, batch)
+        assert runtime.window_guard(6.0, batch, RequestPool()) is not None
+
+    def test_full_batch_waiter_is_shed_at_same_iteration(self):
+        serving = ServingSpec(shed_wait_cycles=1500.0)
+        auto, off = self._both(
+            lambda: [request(0, output_len=10), request(1, output_len=5)],
+            serving, batch=1)
+        assert auto[0].outcomes[1] == "shed"
+        for _, _, seen, _ in (auto, off):
+            (shed,) = [e for e in seen if isinstance(e, RequestShed)]
+            assert shed.time == 2000.0
+        assert auto[3][0] == 1000.0
+        assert 2000.0 not in auto[3]
 
 
 class TestSessionNeutrality:
