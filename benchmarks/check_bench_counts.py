@@ -10,7 +10,11 @@ last line of its output (one JSON object) and compares each workload's
 traced call counts against the ``trace`` pass recorded in the newest
 ``BENCH_<n>.json`` at the repository root.  The counts are exact
 functions of the code and the seed, so the gate has no noise: it fails
-if the run is not ``correct`` or if any count is higher than recorded.
+if the run is not ``correct``, if any count is higher than recorded, or
+if a serving workload's traced device iterations differ from its
+scheduler iterations (every committed iteration must pass through the
+traced device entry, so the counts cannot be lowered by routing around
+it).
 ``--result FILE`` checks a saved output instead of running the
 benchmark.  Exit code 0 means every count held.
 """
@@ -68,6 +72,23 @@ def count_regressions(recorded: Dict[str, Any],
     return problems
 
 
+def iteration_mismatches(measured: Dict[str, Any]) -> List[str]:
+    """Workloads whose ``device.iterations`` differ from their
+    ``scheduler.iterations`` in ``measured`` (JSON ``metrics``)."""
+    problems = []
+    for key in sorted(measured):
+        workload, _, metric = key.partition(".")
+        if metric != "scheduler.iterations":
+            continue
+        scheduled = measured[key]["value"]
+        device = measured.get(f"{workload}.device.iterations",
+                              {"value": None})["value"]
+        if device != scheduled:
+            problems.append(f"{workload}: device.iterations {device} != "
+                            f"scheduler.iterations {scheduled}")
+    return problems
+
+
 def run_trace() -> str:
     """Output of the traced ``--workload all`` pass (last line JSON)."""
     done = subprocess.run([sys.executable, *TRACE_COMMAND], cwd=ROOT,
@@ -94,7 +115,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     result = json.loads(lines[-1]) if lines else {}
     problems = [] if result.get("correct") else \
         ["the traced run is not correct (digest or invariant failure)"]
-    problems += count_regressions(recorded, result.get("metrics", {}))
+    measured = result.get("metrics", {})
+    problems += count_regressions(recorded, measured)
+    problems += iteration_mismatches(measured)
     for problem in problems:
         print(f"count gate: {problem}", file=sys.stderr)
     checked = sum(1 for key in recorded if key.split(".", 1)[1] in COUNTS)

@@ -18,8 +18,9 @@ Execution composition depends on the feature flags:
 * ``sub_batch_interleaving`` off -> the serialized timeline of Figure
   11(a): N x (QKV -> MHA -> Proj&FFNs).
 * on -> the Figure 11(b) pipeline: the batch splits per Algorithm 3 and
-  the two sub-batches are list-scheduled onto the NPU-S and PIM resources,
-  overlapping one sub-batch's GEMMs with the other's MHA.
+  the two sub-batches are list-scheduled onto the NPU-S and PIM units
+  (:func:`interleave_timeline`), overlapping one sub-batch's GEMMs with
+  the other's MHA.
 * ``dual_row_buffer`` off (blocked mode) additionally serializes the
   per-head PIM->vector-unit handoffs inside MHA and pays the fine-grained
   command overhead (no composite ISA without the NeuPIMs bank).
@@ -28,7 +29,7 @@ Execution composition depends on the feature flags:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.binpack import (ChannelLoadTracker, greedy_min_load_assign,
                                 round_robin_assign)
@@ -41,10 +42,19 @@ from repro.model.layers import ffn_gemms, projection_gemm, qkv_generation_gemm
 from repro.model.spec import ModelSpec
 from repro.npu.chip import NpuChip
 from repro.serving.grouping import (DeviceClassPlan, MhaHistogram,
-                                    SubBatchClasses, mha_histogram,
+                                    merge_histograms, mha_histogram,
                                     shift_histogram)
 from repro.serving.request import InferenceRequest
-from repro.sim.engine import Resource
+
+#: A multiple of 1/32 below 2**32 is an integer number of 1/32 units
+#: below 2**37, so over at most this many requests every product and
+#: partial sum of such values is an integer below 2**53 units: float
+#: addition of them is exact in any order.
+_EXACT_BATCH = 2 ** 16
+
+
+def _dyadic(value: float) -> bool:
+    return abs(value) < 2.0 ** 32 and (value * 32.0).is_integer()
 
 
 @dataclass
@@ -86,9 +96,11 @@ class MhaStageTiming:
 
     pim_cycles: float       #: most-loaded channel's GEMV time (with stalls)
     softmax_cycles: float   #: vector-unit time across the sub-batch
-    transfer_cycles: float  #: blocked-mode PIM<->host handoff overhead
     internal_bytes: float   #: KV bytes streamed inside the PIM banks
     pim_busy_cycles: float = 0.0  #: stall-free GEMV time (utilization acct)
+    #: per-channel GEMV loads (with stalls) whose max is ``pim_cycles``
+    loads: Dict[int, float] = field(default_factory=dict)
+    raw_total: float = 0.0  #: stall-free GEMV time summed over requests
 
     def duration(self, dual_row_buffer: bool) -> float:
         """Stage duration under the given bank microarchitecture.
@@ -175,11 +187,9 @@ class NeuPimsDevice:
         self._class_contrib = Memo(self._class_contribution, 32768)
         self._gemm_memo = Memo(self._gemm_stage, 1024)
         self._iteration_memo = Memo(self._iteration, 2048)
-        # Scratch resources for the interleaved list scheduler (reset per
-        # call; busy-interval recording off — only busy totals are read).
-        self._res_npu_s = Resource("npu_s", record_intervals=False)
-        self._res_pim = Resource("pim", record_intervals=False)
-        self._res_npu_v = Resource("npu_v", record_intervals=False)
+        #: Sticky: every class value computed so far is within the
+        #: exact-summation bounds (cleared by `_class_contribution`).
+        self._exact_sums = True
         # Config-derived MHA constants, hoisted out of the per-request loop.
         overhead = 1.0
         if not self.config.composite_isa:
@@ -275,13 +285,21 @@ class NeuPimsDevice:
                          compute_cycles=float(ideal))
 
     def _class_contribution(self, seq_len: int
-                            ) -> Tuple[float, float, float]:
-        """One seq_len class's (estimate, softmax, KV bytes)."""
-        return (
-            self.estimator.estimate(seq_len),
+                            ) -> Tuple[float, float, float, float]:
+        """One request's (estimate, channel load, softmax, KV bytes) at
+        ``seq_len``; clears ``_exact_sums`` if a value is out of bounds."""
+        estimate = self.estimator.estimate(seq_len)
+        load = estimate * self._mha_overhead
+        if not self.config.dual_row_buffer:
+            load += self._transfer_per_request
+        values = (
+            estimate, load,
             self.npu.softmax_latency(seq_len, self.spec.num_heads),
             2.0 * seq_len * self.spec.d_model * self.spec.dtype_bytes,
         )
+        if self._exact_sums and not all(map(_dyadic, values)):
+            self._exact_sums = False
+        return values
 
     def mha_stage(self, requests: Sequence[InferenceRequest]) -> MhaStageTiming:
         """MHA timing for a sub-batch already assigned to channels."""
@@ -297,39 +315,47 @@ class NeuPimsDevice:
         way — so identical histograms give bit-identical timings.
         """
         if not hist:
-            return MhaStageTiming(0.0, 0.0, 0.0, 0.0)
+            return MhaStageTiming(0.0, 0.0, 0.0)
         contrib = self._class_contrib
         loads: Dict[int, float] = {}
         raw_total = 0.0
         softmax_total = 0.0
         internal_bytes = 0.0
-        batch_size = 0
-        overhead = self._mha_overhead
-        dual_row_buffer = self.config.dual_row_buffer
-        transfer_per_request = self._transfer_per_request
         for channel, seq_len, count in hist:
-            estimate, softmax, kv_bytes = contrib[seq_len]
-            batch_size += count
+            estimate, load, softmax, kv_bytes = contrib[seq_len]
             raw_total += estimate * count
-            load = estimate * overhead
-            if not dual_row_buffer:
-                load += transfer_per_request
             loads[channel] = loads.get(channel, 0.0) + load * count
             softmax_total += softmax * count
             internal_bytes += kv_bytes * count
-        pim_cycles = max(loads.values())
-        transfers = (0.0 if dual_row_buffer
-                     else transfer_per_request * batch_size
-                     / self.channel_pool)
+        return self._stage(loads, raw_total, softmax_total, internal_bytes)
+
+    def _stage(self, loads: Dict[int, float], raw_total: float,
+               softmax_total: float, internal_bytes: float
+               ) -> MhaStageTiming:
         # PIM *compute* utilization averages the in-bank units across all
         # channels (Table 4's accounting), so busy time is the mean
         # stall-free channel load.
-        mean_raw = raw_total / self.channel_pool
-        return MhaStageTiming(pim_cycles=pim_cycles,
+        return MhaStageTiming(pim_cycles=max(loads.values()),
                               softmax_cycles=softmax_total,
-                              transfer_cycles=transfers,
                               internal_bytes=internal_bytes,
-                              pim_busy_cycles=mean_raw)
+                              pim_busy_cycles=raw_total / self.channel_pool,
+                              loads=loads, raw_total=raw_total)
+
+    def _whole_batch_stage(self, batch_size: int, hist1: MhaHistogram,
+                           hist2: MhaHistogram, mha1: MhaStageTiming,
+                           mha2: MhaStageTiming) -> MhaStageTiming:
+        """Both sub-batches' MHA stage: the sum of theirs, which is the
+        canonical pass over the merged histogram bit for bit when the
+        ``_exact_sums`` guard holds (read only here, after the sub-batch
+        passes computed every class entry it covers); else that pass."""
+        if not (self._exact_sums and batch_size <= _EXACT_BATCH):
+            return self.mha_stage_classes(merge_histograms(hist1, hist2))
+        loads = dict(mha1.loads)
+        for channel, load in mha2.loads.items():
+            loads[channel] = loads.get(channel, 0.0) + load
+        return self._stage(loads, mha1.raw_total + mha2.raw_total,
+                           mha1.softmax_cycles + mha2.softmax_cycles,
+                           mha1.internal_bytes + mha2.internal_bytes)
 
     # ------------------------------------------------------------------
     # Iteration execution.
@@ -340,22 +366,24 @@ class NeuPimsDevice:
         """Freeze the batch's class structure at a batch boundary.
 
         Assigns channels to unplaced requests (exactly as a per-request
-        iteration would), then captures the full class histogram and —
-        when sub-batch interleaving applies — the Algorithm-3 split.
-        Between boundaries the plan is reused with a uniform seq_len
-        shift (the batch membership and channel placement are fixed, so
-        the split is translation-invariant).
+        iteration would), then captures the Algorithm-3 split when
+        sub-batch interleaving splits the batch, else the full class
+        histogram.  Between boundaries the plan is reused with a uniform
+        seq_len shift (the batch membership and channel placement are
+        fixed, so the split is translation-invariant).
         """
         if not requests:
             raise ValueError("empty batch")
         self._ensure_assigned(requests)
-        split = None
         if self.config.sub_batch_interleaving and len(requests) >= 2:
             sb1, sb2 = partition_batch(requests, self.channel_pool)
-            split = (SubBatchClasses(len(sb1), mha_histogram(sb1)),
-                     SubBatchClasses(len(sb2), mha_histogram(sb2)))
+            if sb1 and sb2:
+                return DeviceClassPlan(
+                    batch_size=len(requests), hist=None,
+                    split=((len(sb1), mha_histogram(sb1)),
+                           (len(sb2), mha_histogram(sb2))))
         return DeviceClassPlan(batch_size=len(requests),
-                               hist=mha_histogram(requests), split=split)
+                               hist=mha_histogram(requests))
 
     def iteration(self, requests: Sequence[InferenceRequest]) -> IterationResult:
         """Execute one generation iteration over the batch.
@@ -382,127 +410,80 @@ class NeuPimsDevice:
         because the result is a pure function of the signature under this
         device's fixed configuration.
         """
-        hist = shift_histogram(plan.hist, shift)
-        split = plan.split
-        if split is not None and split[0].size and split[1].size:
-            sb1, sb2 = split
+        if plan.split is None:
             return self._iteration_memo[(
-                plan.batch_size, hist,
-                (sb1.size, shift_histogram(sb1.hist, shift)),
-                (sb2.size, shift_histogram(sb2.hist, shift)))]
-        return self._iteration_memo[(plan.batch_size, hist)]
+                plan.batch_size, shift_histogram(plan.hist, shift))]
+        (size1, hist1), (size2, hist2) = plan.split
+        return self._iteration_memo[(
+            plan.batch_size, (size1, shift_histogram(hist1, shift)),
+            (size2, shift_histogram(hist2, shift)))]
 
     def _iteration(self, signature: Tuple) -> IterationResult:
-        """The iteration result of a ``(batch_size, hist[, sub1, sub2])``
-        plan signature, with its counter vector when counters are on."""
-        batch_size, hist = signature[0], signature[1]
-        if len(signature) == 4:
-            result = self._interleaved_classes(signature[2], signature[3])
+        """The iteration result of a ``(batch_size, hist)`` or
+        ``(batch_size, sub1, sub2)`` plan signature, with its counter
+        vector when counters are on."""
+        if len(signature) == 2:
+            batch_size, hist = signature
+            result = self._serialized(batch_size,
+                                      self.mha_stage_classes(hist))
+        else:
+            batch_size, (size1, hist1), (size2, hist2) = signature
+            gemm1 = self.gemm_stage_cycles(size1)
+            mha1 = self.mha_stage_classes(hist1)
+            gemm2 = self.gemm_stage_cycles(size2)
+            mha2 = self.mha_stage_classes(hist2)
+            result = self._interleaved(gemm1, mha1, gemm2, mha2)
             if self.config.adaptive_sbi:
-                serialized = self._serialized_classes(batch_size, hist)
+                whole = self._whole_batch_stage(batch_size, hist1, hist2,
+                                                mha1, mha2)
+                serialized = self._serialized(batch_size, whole)
                 if serialized.latency < result.latency:
                     result = serialized
-        else:
-            result = self._serialized_classes(batch_size, hist)
         if self.counter_model is not None:
             # Every result here is a fresh object, so the counter vector
             # is set in place and enters the memo with the timing.
+            if len(signature) == 3:
+                hist = merge_histograms(hist1, hist2)
             result.counters = self.counter_model.iteration_counters(
                 hist, result.latency, result.busy.get("npu", 0.0))
         return result
 
-    def _serialized_classes(self, batch_tokens: int,
-                            hist: MhaHistogram) -> IterationResult:
+    def _serialized(self, batch_tokens: int,
+                    mha: MhaStageTiming) -> IterationResult:
         """Figure 11(a): QKV -> MHA -> Proj&FFN per block, serialized."""
         gemm = self.gemm_stage_cycles(batch_tokens)
-        mha = self.mha_stage_classes(hist)
         t_mha = mha.duration(self.config.dual_row_buffer)
-        per_block = gemm.qkv_cycles + t_mha + gemm.projffn_cycles
-        latency = per_block * self.layers
-        busy = {
-            "npu": gemm.compute_cycles * self.layers,
-            "npu_vector": mha.softmax_cycles * self.layers,
-            "pim": mha.pim_busy_cycles * self.layers,
-        }
+        layers = self.layers
         return IterationResult(
-            latency=latency,
-            busy=busy,
-            external_bytes=gemm.external_bytes * self.layers,
-            internal_pim_bytes=mha.internal_bytes * self.layers,
-        )
+            latency=(gemm.qkv_cycles + t_mha + gemm.projffn_cycles) * layers,
+            busy={"npu": gemm.compute_cycles * layers,
+                  "npu_vector": mha.softmax_cycles * layers,
+                  "pim": mha.pim_busy_cycles * layers},
+            external_bytes=gemm.external_bytes * layers,
+            internal_pim_bytes=mha.internal_bytes * layers)
 
-    def _interleaved_classes(self, sub1: Tuple[int, MhaHistogram],
-                             sub2: Tuple[int, MhaHistogram]
-                             ) -> IterationResult:
+    def _interleaved(self, gemm1: GemmStage, mha1: MhaStageTiming,
+                     gemm2: GemmStage, mha2: MhaStageTiming
+                     ) -> IterationResult:
         """Figure 11(b): two sub-batches pipelined across NPU-S and PIM."""
-        stage_plans: List[Tuple[GemmStage, MhaStageTiming]] = []
-        gemm_bytes = 0.0
-        internal_bytes = 0.0
-        compute_busy = 0.0
-        for size, hist in (sub1, sub2):
-            gemm = self.gemm_stage_cycles(size)
-            mha = self.mha_stage_classes(hist)
-            stage_plans.append((gemm, mha))
-            gemm_bytes += gemm.external_bytes * self.layers
-            internal_bytes += mha.internal_bytes * self.layers
-            compute_busy += gemm.compute_cycles * self.layers
-
-        npu_s = self._res_npu_s
-        pim = self._res_pim
-        npu_v = self._res_npu_v
-        npu_s.reset()
-        pim.reset()
-        npu_v.reset()
-
-        # Build each sub-batch's operator sequence over the resident layers.
-        sequences: List[List[Tuple[str, float]]] = []
-        for gemm, mha in stage_plans:
-            t_mha = mha.duration(self.config.dual_row_buffer)
-            seq: List[Tuple[str, float]] = []
-            for _ in range(self.layers):
-                seq.append(("npu_s", gemm.qkv_cycles))
-                seq.append(("pim", t_mha))
-                seq.append(("npu_s", gemm.projffn_cycles))
-            sequences.append(seq)
-
-        resources = {"npu_s": npu_s, "pim": pim}
-        ready = [0.0, 0.0]
-        cursor = [0, 0]
-        softmax_share = [plan[1].softmax_cycles for plan in stage_plans]
-        while any(cursor[s] < len(sequences[s]) for s in (0, 1)):
-            # Pick the sub-batch whose next operator can start earliest
-            # (list scheduling); ties favour sub-batch order.
-            best_s, best_start = None, None
-            for s in (0, 1):
-                if cursor[s] >= len(sequences[s]):
-                    continue
-                res_name, _ = sequences[s][cursor[s]]
-                candidate = max(ready[s], resources[res_name].free_at)
-                if best_start is None or candidate < best_start:
-                    best_s, best_start = s, candidate
-            res_name, duration = sequences[best_s][cursor[best_s]]
-            _, end = resources[res_name].acquire_for(duration,
-                                                     earliest=ready[best_s])
-            if res_name == "pim":
-                npu_v.acquire_for(softmax_share[best_s],
-                                  earliest=end - duration)
-            ready[best_s] = end
-            cursor[best_s] += 1
-
-        latency = max(ready)
-        pim_busy = sum(plan[1].pim_busy_cycles
-                       for plan in stage_plans) * self.layers
-        busy = {
-            "npu": compute_busy,
-            "npu_vector": npu_v.busy_time,
-            "pim": pim_busy,
-        }
+        layers = self.layers
+        dual_row_buffer = self.config.dual_row_buffer
+        latency, vector_busy = interleave_timeline(
+            layers,
+            (gemm1.qkv_cycles, mha1.duration(dual_row_buffer),
+             gemm1.projffn_cycles, mha1.softmax_cycles),
+            (gemm2.qkv_cycles, mha2.duration(dual_row_buffer),
+             gemm2.projffn_cycles, mha2.softmax_cycles))
+        pim_busy = (mha1.pim_busy_cycles + mha2.pim_busy_cycles) * layers
         return IterationResult(
             latency=latency,
-            busy=busy,
-            external_bytes=gemm_bytes,
-            internal_pim_bytes=internal_bytes,
-        )
+            busy={"npu": gemm1.compute_cycles * layers
+                         + gemm2.compute_cycles * layers,
+                  "npu_vector": vector_busy, "pim": pim_busy},
+            external_bytes=gemm1.external_bytes * layers
+            + gemm2.external_bytes * layers,
+            internal_pim_bytes=mha1.internal_bytes * layers
+            + mha2.internal_bytes * layers)
 
     # ------------------------------------------------------------------
 
@@ -511,6 +492,45 @@ class NeuPimsDevice:
         def run(batch: Sequence[InferenceRequest]) -> float:
             return self.iteration(batch).latency
         return run
+
+
+def interleave_timeline(layers: int,
+                        first: Tuple[float, float, float, float],
+                        second: Tuple[float, float, float, float]
+                        ) -> Tuple[float, float]:
+    """Algorithm-3 sub-batch interleaving (Figure 11b) as a list schedule.
+
+    Each sub-batch runs ``layers`` x (QKV on NPU-S -> MHA on PIM ->
+    Proj&FFNs on NPU-S); a stage is ``(qkv, mha, projffn, softmax)``
+    cycles.  Every step books the next operator of the sub-batch that
+    can start it earliest (ties go to ``first``) at ``max(ready, unit
+    free)``.  An MHA booking also books its softmax on the NPU vector
+    units; no operator waits on them, so only their busy time is kept,
+    summed in booking order.  Returns ``(latency, vector busy)``.
+    """
+    durations = (first[:3], second[:3])
+    softmax = (first[3], second[3])
+    ops = 3 * layers
+    ready = [0.0, 0.0]
+    cursor = [0, 0]
+    free = [0.0, 0.0]  # NPU-S, PIM: when each is next idle
+    vector_busy, done = 0.0, float("inf")  # done: a finished sub-batch
+    for _ in range(2 * ops):
+        # `f if f > r else r` is max(ready, unit free) without a call.
+        c0, c1 = cursor
+        r, f = ready[0], free[c0 % 3 == 1]
+        start0 = done if c0 == ops else (f if f > r else r)
+        r, f = ready[1], free[c1 % 3 == 1]
+        start1 = done if c1 == ops else (f if f > r else r)
+        s, start = (1, start1) if start1 < start0 else (0, start0)
+        phase = cursor[s] % 3
+        end = start + durations[s][phase]
+        free[phase == 1] = end
+        if phase == 1:
+            vector_busy += softmax[s]
+        ready[s] = end
+        cursor[s] += 1
+    return max(ready), vector_busy
 
 
 def shard_for_mha(spec: ModelSpec, tp: int) -> ModelSpec:

@@ -45,19 +45,12 @@ def partition_sub_batches(
     sb2: List[InferenceRequest] = []
     for channel_requests in requests_per_channel:
         size = len(channel_requests)
-        half = size / 2
-        if size % 2 != 0:
-            half_int = (size + 1) // 2 if turn else size // 2
+        half = size // 2
+        if size % 2:
+            half += turn
             turn = not turn
-        else:
-            half_int = size // 2
-        del half  # the paper's bsize float is only used via ceil/floor
-        sb1.extend(channel_requests[:half_int])
-        sb2.extend(channel_requests[half_int:])
-    for request in sb1:
-        request.sub_batch = 0
-    for request in sb2:
-        request.sub_batch = 1
+        sb1.extend(channel_requests[:half])
+        sb2.extend(channel_requests[half:])
     return sb1, sb2
 
 

@@ -16,7 +16,7 @@ work instead of per-request work:
   latencies from these histograms, which is what makes the two paths
   bit-identical by construction (same sums in the same canonical order).
 * :class:`DeviceClassPlan` / :class:`SystemClassPlan` freeze a batch's
-  class structure — full histogram, Algorithm-3 sub-batch split, pipeline
+  class structure — full histogram or Algorithm-3 sub-batch split, pipeline
   micro-batch — at a *batch boundary*.  Between boundaries the structure
   is translation-invariant: advancing the whole batch by one token shifts
   every ``seq_len`` uniformly (:func:`shift_histogram`), so the plan is
@@ -110,31 +110,36 @@ def shift_histogram(hist: MhaHistogram, shift: int) -> MhaHistogram:
                   for channel, seq_len, count in hist])
 
 
+def merge_histograms(a: MhaHistogram, b: MhaHistogram) -> MhaHistogram:
+    """The canonical histogram of two batches taken together."""
+    counts: Dict[Tuple[int, int], int] = {}
+    for channel, seq_len, count in a + b:
+        key = (channel, seq_len)
+        counts[key] = counts.get(key, 0) + count
+    return tuple((channel, seq_len, count)
+                 for (channel, seq_len), count in sorted(counts.items()))
+
+
 # ----------------------------------------------------------------------
 # Frozen per-boundary plans.
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SubBatchClasses:
-    """One Algorithm-3 sub-batch as (size, histogram) at shift 0."""
-
-    size: int
-    hist: MhaHistogram
-
-
-@dataclass(frozen=True)
 class DeviceClassPlan:
     """A device batch's class structure, frozen at a batch boundary.
 
-    ``hist`` (and the sub-batch histograms, when sub-batch interleaving
-    applies) are stored at shift 0; :func:`shift_histogram` derives the
-    view for any later iteration of the same window.
+    The histograms are stored at shift 0; :func:`shift_histogram`
+    derives the view for any later iteration of the same window.  A
+    split plan carries only the two sub-batch histograms: the full one
+    is their :func:`merge_histograms`, built only where it is read.
     """
 
     batch_size: int
-    hist: MhaHistogram
-    #: Algorithm-3 split (``None`` when SBI is off or the batch is < 2).
-    split: Optional[Tuple[SubBatchClasses, SubBatchClasses]] = None
+    #: Full histogram (``None`` when ``split`` is set).
+    hist: Optional[MhaHistogram]
+    #: Algorithm-3 split into two non-empty ``(size, histogram)``
+    #: sub-batches (``None`` when SBI does not split the batch).
+    split: Optional[Tuple[Tuple[int, MhaHistogram], ...]] = None
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ status.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -54,7 +54,6 @@ class InferenceRequest:
     status: RequestStatus = RequestStatus.WAITING
     channel: Optional[int] = None
     arrival_time: float = 0.0
-    sub_batch: Optional[int] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.input_len <= 0:

@@ -179,23 +179,11 @@ class Resource:
     pipeline models compose operator timelines without callbacks.
     """
 
-    def __init__(self, name: str, record_intervals: bool = True) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self._free_at = 0.0
         self._busy_time = 0.0
-        self._record_intervals = record_intervals
         self._intervals: List[Tuple[float, float]] = []
-
-    def reset(self) -> None:
-        """Return to the initial idle state (for scratch-resource reuse).
-
-        Iteration-latency models that re-run list scheduling every
-        serving iteration reset a persistent trio of resources instead of
-        allocating fresh ones per call.
-        """
-        self._free_at = 0.0
-        self._busy_time = 0.0
-        self._intervals.clear()
 
     @property
     def free_at(self) -> float:
@@ -226,8 +214,7 @@ class Resource:
         self._free_at = end
         if duration > 0:
             self._busy_time += duration
-            if self._record_intervals:
-                self._intervals.append((start, end))
+            self._intervals.append((start, end))
         return start, end
 
     def utilization(self, horizon: float) -> float:

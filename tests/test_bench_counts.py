@@ -40,6 +40,38 @@ class TestCountRegressions:
             "fleet.latency.calls: missing from the run"]
 
 
+class TestIterationMismatches:
+    def test_equal_iterations_pass(self):
+        measured = {"w.scheduler.iterations": {"value": 7},
+                    "w.device.iterations": {"value": 7},
+                    "refute.scheduler.iterations": {"value": 0},
+                    "refute.device.iterations": {"value": 0}}
+        assert gate.iteration_mismatches(measured) == []
+
+    def test_iterations_routed_around_the_device_fail(self):
+        measured = {"w.scheduler.iterations": {"value": 7},
+                    "w.device.iterations": {"value": 5}}
+        assert gate.iteration_mismatches(measured) == [
+            "w: device.iterations 5 != scheduler.iterations 7"]
+
+    def test_missing_device_count_fails(self):
+        (problem,) = gate.iteration_mismatches(
+            {"w.scheduler.iterations": {"value": 7}})
+        assert problem.startswith("w: device.iterations None")
+
+    def test_saved_result_with_mismatch_fails(self, tmp_path):
+        recorded = {"w.kv.calls": {"value": 5}}
+        bench = tmp_path / "BENCH_1.json"
+        bench.write_text(json.dumps(
+            {"trace": {"result": {"metrics": recorded}}}))
+        result = tmp_path / "out.txt"
+        result.write_text(json.dumps({"correct": True, "metrics": {
+            **recorded, "w.scheduler.iterations": {"value": 3},
+            "w.device.iterations": {"value": 2}}}))
+        assert gate.main(["--bench", str(bench),
+                          "--result", str(result)]) == 1
+
+
 class TestGateEntry:
     def test_newest_bench_by_number(self, tmp_path):
         for n in (2, 10, 9):

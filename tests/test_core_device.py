@@ -3,13 +3,18 @@
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import ScenarioSpec, ServingSpec, Session, TrafficSpec
 from repro.core.config import NeuPimsConfig
-from repro.core.device import NeuPimsDevice, shard_for_mha
+from repro.core.device import (NeuPimsDevice, interleave_timeline,
+                               shard_for_mha)
 from repro.model.spec import GPT3_7B
 from repro.perf import Memo
+from repro.serving.grouping import merge_histograms, mha_histogram
 from repro.serving.trace import SHAREGPT, warmed_batch
+from repro.sim.engine import Resource
 
 from tests.conftest import make_request
 
@@ -182,6 +187,17 @@ class TestIteration:
             device.iteration(reqs).latency)
 
 
+def squeeze_memos(device):
+    """Set every device memo (and the counter model's) to bound 1."""
+    memos = [memo for memo in vars(device).values()
+             if isinstance(memo, Memo)]
+    if device.counter_model is not None:
+        memos.append(device.counter_model._per_class)
+    for memo in memos:
+        memo.bound = 1
+    return memos
+
+
 class TestMemos:
     def test_attach_counters_after_iteration_still_counts(self):
         """Results memoized before the attach carry no counters, so the
@@ -206,15 +222,10 @@ class TestMemos:
                                         horizon_cycles=2e6, seed=3,
                                         max_requests=40),
             serving=ServingSpec(max_batch_size=16, grouping=grouping))
-        squeezed = Session(spec).materialize()
-        device = squeezed.device
-        memos = [memo for memo in vars(device).values()
-                 if isinstance(memo, Memo)]
-        memos.append(device.counter_model._per_class)
+        session = Session(spec).materialize()
+        memos = squeeze_memos(session.device)
         assert len(memos) == 4
-        for memo in memos:
-            memo.bound = 1
-        assert squeezed.run().to_dict() == Session(spec).run().to_dict()
+        assert session.run().to_dict() == Session(spec).run().to_dict()
         assert all(memo.evictions for memo in memos)
 
     def test_pickled_device_computes_on_miss(self):
@@ -227,6 +238,104 @@ class TestMemos:
         assert clone._iteration_memo.misses == misses + 1
         assert result.latency == device_with().iteration(
             batch(48, seed=1)).latency
+
+
+def reference_timeline(layers, first, second):
+    """Algorithm-3 list scheduling onto `Resource`s, step by step: the
+    reference :func:`interleave_timeline` must match bit for bit."""
+    units = {"npu_s": Resource("npu_s"), "pim": Resource("pim")}
+    vector = Resource("npu_v")
+    stages = (first, second)
+    sequences = [[(unit, stage[index]) for _ in range(layers)
+                  for unit, index in (("npu_s", 0), ("pim", 1),
+                                      ("npu_s", 2))]
+                 for stage in stages]
+    ready, cursor = [0.0, 0.0], [0, 0]
+    while any(cursor[s] < len(sequences[s]) for s in (0, 1)):
+        best_s, best_start = None, None
+        for s in (0, 1):
+            if cursor[s] >= len(sequences[s]):
+                continue
+            unit, _ = sequences[s][cursor[s]]
+            candidate = max(ready[s], units[unit].free_at)
+            if best_start is None or candidate < best_start:
+                best_s, best_start = s, candidate
+        unit, duration = sequences[best_s][cursor[best_s]]
+        _, end = units[unit].acquire_for(duration, earliest=ready[best_s])
+        if unit == "pim":
+            vector.acquire_for(stages[best_s][3], earliest=end - duration)
+        ready[best_s] = end
+        cursor[best_s] += 1
+    return max(ready), vector.busy_time
+
+
+# Few distinct values make exact ties between the two sub-batches common.
+_cycles = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e3]),
+                    st.floats(0.0, 1e7, allow_nan=False,
+                              allow_infinity=False))
+_stage = st.tuples(_cycles, _cycles, _cycles, _cycles)
+
+
+class TestInterleaveTimeline:
+    @settings(max_examples=300, deadline=None)
+    @given(layers=st.integers(1, 8), first=_stage, second=_stage)
+    def test_matches_resource_list_scheduler(self, layers, first, second):
+        latency, vector = interleave_timeline(layers, first, second)
+        ref_latency, ref_vector = reference_timeline(layers, first, second)
+        assert latency.hex() == ref_latency.hex()
+        assert vector.hex() == ref_vector.hex()
+
+    def test_ties_go_to_the_first_sub_batch(self):
+        # The sub-batches tie for a unit at t=0, 1 and 2; giving the
+        # ties to the second one would end at 6.0.
+        first, second = (1.0, 1.0, 2.0, 1.0), (1.0, 2.0, 1.0, 0.5)
+        assert interleave_timeline(1, first, second) == \
+            reference_timeline(1, first, second) == (5.0, 1.5)
+
+
+class TestWholeBatchStage:
+    """The serialized candidate composed from the two sub-batch stages
+    equals the canonical pass over the full histogram."""
+
+    CASES = [
+        # (config, counters, exact sums expected; None: batch-dependent)
+        (NeuPimsConfig(), False, True),
+        # The 1.18 fine-grained overhead leaves ~4% of loads dyadic, so
+        # a batch of 8 or more all but surely holds one that is not.
+        (NeuPimsConfig(composite_isa=False), False, False),
+        (NeuPimsConfig(dual_row_buffer=False), False, None),
+        (NeuPimsConfig(adaptive_sbi=False), False, True),
+        (NeuPimsConfig(), True, True),
+    ]
+
+    @pytest.mark.parametrize("config, counters, exact", CASES)
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(8, 96), seed=st.integers(0, 2 ** 16))
+    def test_iteration_matches_canonical_pass(self, config, counters,
+                                              exact, n, seed):
+        device, canonical = device_with(config), device_with(config)
+        if counters:
+            device.attach_counters()
+            canonical.attach_counters()
+        squeeze_memos(device)
+        squeeze_memos(canonical)
+        canonical._exact_sums = False  # sticky: always the full pass
+        passes = []
+        stage = device.mha_stage_classes
+        device.mha_stage_classes = lambda hist: passes.append(hist) or \
+            stage(hist)
+        reqs = batch(n, seed=seed)
+        result = device.iteration(reqs)
+        assert result == canonical.iteration(batch(n, seed=seed))
+        if exact is not None:
+            assert device._exact_sums is exact
+        (_, hist1), (_, hist2) = device.prepare_class_plan(reqs).split
+        merged = merge_histograms(hist1, hist2)
+        assert merged == mha_histogram(reqs)
+        # The two sub-batch passes, plus the canonical pass over the
+        # merged histogram where the composed stage was refused.
+        whole = config.adaptive_sbi and not device._exact_sums
+        assert passes == [hist1, hist2] + ([merged] if whole else [])
 
 
 class TestShardForMha:

@@ -62,12 +62,6 @@ class TestAlgorithm3:
                 per_channel[r.channel] = per_channel.get(r.channel, 0) + 1
             assert per_channel == {0: 2, 1: 2}
 
-    def test_sub_batch_field_written(self):
-        channels = [[make_request(i, channel=0) for i in range(4)]]
-        sb1, sb2 = partition_sub_batches(channels)
-        assert all(r.sub_batch == 0 for r in sb1)
-        assert all(r.sub_batch == 1 for r in sb2)
-
     def test_all_requests_partitioned_exactly_once(self):
         channels = [[make_request(c * 100 + i, channel=c)
                      for i in range(7)] for c in range(5)]
