@@ -357,7 +357,6 @@ class Session:
             assign_channels=(self.device.assign_channels
                              if is_neupims else None),
             load_tracker=self.load_tracker,
-            grouping=serving.grouping,
             grouped=self._grouped_executor(serving.grouping),
             latency_tracker=self.latency_tracker,
             events=self.events,

@@ -22,8 +22,8 @@ re-based to a fresh arrival/deadline and re-routed to surviving nodes
 re-admits only after a successful probe past the cooldown
 (half-open; :class:`~repro.serving.events.NodeRecovered`).  With a
 ``shed_watermark`` set, the router also sheds new arrivals while the
-surviving fleet's recent ``KvPressure`` events cross the watermark
-(:class:`~repro.serving.events.FleetShedding`).
+fleet's recent ``KvPressure`` events (one log per node) cross the
+watermark (:class:`~repro.serving.events.FleetShedding`).
 
 Everything is deterministic per (fleet spec, fault seed): probes fire
 at fixed multiples of the interval, the schedule is pure (no cursors),
@@ -36,10 +36,12 @@ the probe machinery is entirely absent without a fault plan.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.api.session import Session, aggregate_resilience
 from repro.api.spec import TrafficSpec
@@ -127,8 +129,8 @@ class Router:
         #: cached healthy-index list, dropped on any health transition
         self._healthy_view: Optional[List[int]] = None
         self._node_log: List[Dict[str, Any]] = []
-        #: recent KvPressure event times from surviving nodes
-        self._pressure: Deque[float] = deque()
+        #: recent KvPressure event times, one time-ordered log per node
+        self._pressure: List[Deque[float]] = []
         self._next_probe = fleet.health.probe_interval_cycles
         self._probing_done = False
         self._materialized = False
@@ -165,7 +167,10 @@ class Router:
                 pool=session.pool, scheduler=session.scheduler,
                 max_iterations=spec.serving.max_iterations))
             if fleet.shed_watermark is not None:
-                session.events.subscribe(KvPressure, self._on_pressure)
+                log: Deque[float] = deque()
+                self._pressure.append(log)
+                session.events.subscribe(
+                    KvPressure, lambda event, log=log: log.append(event.time))
         self._materialized = True
         return self
 
@@ -183,10 +188,6 @@ class Router:
         def derate(now: float, latency: float) -> float:
             return latency * schedule.degrade_factor(now, index)
         return derate
-
-    def _on_pressure(self, event: KvPressure) -> None:
-        """Record one node KvPressure event for the shed watermark."""
-        self._pressure.append(event.time)
 
     # ------------------------------------------------------------------
     # Lockstep stepping.
@@ -210,26 +211,6 @@ class Router:
             return None
         return max(scheduler.now, waiting[0].arrival_time)
 
-    def _step_budget(self, handle: NodeHandle, dispatching: bool) -> int:
-        """How many iterations one ``step()`` call may group-commit.
-
-        A node's remaining iteration budget: the call stops by itself
-        at the next time the router reads or changes node state (see
-        :meth:`_step_node`), and between those times nodes are
-        independent.  The exception is a shed watermark while arrivals
-        are dispatched: its pressure log is appended in node-step order
-        and read at dispatch, so there the budget is 1 and node steps
-        interleave in time order.
-        """
-        if dispatching and self.fleet.shed_watermark is not None:
-            budget = 1
-        else:
-            done = len(handle.scheduler.stats.iterations)
-            budget = handle.max_iterations - done
-        if self.max_group_steps is not None:
-            budget = min(budget, self.max_group_steps)
-        return max(1, budget)
-
     def _cached_next_time(self, handle: NodeHandle) -> Optional[float]:
         """Memoized :meth:`_next_time` (recomputed only after changes).
 
@@ -244,36 +225,46 @@ class Router:
             handle.hint_valid = True
         return handle.next_hint
 
-    def _step_node(self, handle: NodeHandle, until: Optional[float],
-                   dispatching: bool = False) -> None:
+    def _step_node(self, handle: NodeHandle, until: Optional[float]) -> None:
         """Advance one node; ``None`` from the core marks it stalled.
 
-        ``until`` is the next arrival or probe: iterations after the
-        first commit only while they start before it, exactly the ones
-        single-iteration steps would have run before the router acts.
+        The one stepping rule, in every phase: the call may group-commit
+        the node's remaining iteration budget (capped by
+        :attr:`max_group_steps`), and ``until`` is the next arrival or
+        probe — iterations after the first commit only while they start
+        before it, exactly the ones single-iteration steps would have
+        run before the router next reads or changes node state.  Between
+        those times nodes are independent (the shed watermark reads
+        per-node pressure logs), so stepping order cannot matter.
         """
-        record = handle.session.step(
-            max_steps=self._step_budget(handle, dispatching), until=until)
+        budget = handle.max_iterations - len(handle.scheduler.stats.iterations)
+        if self.max_group_steps is not None:
+            budget = min(budget, self.max_group_steps)
+        record = handle.session.step(max_steps=max(1, budget), until=until)
         handle.hint_valid = False
         if record is None:
             handle.stalled = True
 
+    def _earliest_node(self, bound: float) -> Optional[NodeHandle]:
+        """The steppable node with the smallest next time below ``bound``.
+
+        Down and stalled nodes are skipped; ties go to the lower index.
+        """
+        best: Optional[NodeHandle] = None
+        for handle in self.handles:
+            if handle.down or handle.stalled:
+                continue
+            next_time = self._cached_next_time(handle)
+            if next_time is not None and next_time < bound:
+                best, bound = handle, next_time
+        return best
+
     def _advance_nodes(self, until: float) -> None:
         """Step nodes (earliest next event first) until all reach ``until``."""
-        while True:
-            best: Optional[NodeHandle] = None
-            best_time = 0.0
-            for handle in self.handles:
-                if handle.down or handle.stalled:
-                    continue
-                next_time = self._cached_next_time(handle)
-                if next_time is None or next_time >= until:
-                    continue
-                if best is None or next_time < best_time:
-                    best, best_time = handle, next_time
-            if best is None:
-                return
-            self._step_node(best, until, dispatching=True)
+        best = self._earliest_node(until)
+        while best is not None:
+            self._step_node(best, until)
+            best = self._earliest_node(until)
 
     # ------------------------------------------------------------------
     # Health model.
@@ -291,26 +282,32 @@ class Router:
                                   if not h.down]
         return self._healthy_view
 
-    def _process_probes(self, limit: float) -> None:
-        """Run every pending health probe at or before ``limit``.
+    def _next_probe_time(self) -> Optional[float]:
+        """When the next health probe fires (``None`` once pointless).
 
         Probes fire at fixed multiples of the probe interval (fleet
         wall-clock), so their timing — and therefore every failover —
         is a pure function of (fleet spec, fault seed).  Once no node is
-        down and the schedule holds no future fault, probing stops for
-        good (zero steady-state overhead).
+        down, nothing is queued and the next probe falls past the
+        schedule's last fault, no probe can change anything: probing
+        stops for good (zero steady-state overhead).
         """
         if self.schedule is None or self._probing_done:
-            return
-        interval = self.fleet.health.probe_interval_cycles
-        while self._next_probe <= limit:
-            probe_time = self._next_probe
-            self._next_probe += interval
-            self._probe(probe_time)
-            if probe_time > self.schedule.last_end and \
-                    not any(h.down for h in self.handles):
-                self._probing_done = True
+            return None
+        if self._next_probe > self.schedule.last_end and not self._queue \
+                and not any(h.down for h in self.handles):
+            self._probing_done = True
+            return None
+        return self._next_probe
+
+    def _process_probes(self, limit: float) -> None:
+        """Run every pending health probe at or before ``limit``."""
+        while True:
+            probe_time = self._next_probe_time()
+            if probe_time is None or probe_time > limit:
                 return
+            self._next_probe += self.fleet.health.probe_interval_cycles
+            self._probe(probe_time)
 
     def _probe(self, probe_time: float) -> None:
         """Probe every node once; apply threshold/cooldown transitions."""
@@ -370,17 +367,11 @@ class Router:
         machinery charges).  Deadlines re-base automatically — the
         target node's resilience runtime falls back to arrival time.
         """
-        session = handle.session
-        scheduler = session.scheduler
-        scheduler.flush_finished()
-        handle.hint_valid = False
-        pooled = sorted(session.pool.running() + session.pool.waiting(),
-                        key=lambda r: r.request_id)
+        scheduler = handle.scheduler
         costs = PreemptionCosts()
-        for request in pooled:
+        for request in self._release_pooled(handle):
             restore = (request.seq_len * costs.recompute_cycles_per_token
                        if request.generated > 0 else 0.0)
-            scheduler.release_request(request)
             request.arrival_time = max(probe_time, scheduler.now) + restore
             healthy = self._healthy()
             if healthy:
@@ -399,6 +390,23 @@ class Router:
                 "request_id": request.request_id,
                 "from_node": handle.index, "to_node": to_node,
                 "restore_cycles": restore})
+
+    @staticmethod
+    def _release_pooled(handle: NodeHandle) -> Iterator[InferenceRequest]:
+        """Release a node's pooled requests, yielding them by request id.
+
+        Finished requests retire first and the node's next-time hint is
+        dropped; each request leaves through ``release_request`` just
+        before it is yielded.
+        """
+        scheduler = handle.scheduler
+        scheduler.flush_finished()
+        handle.hint_valid = False
+        pool = handle.pool
+        for request in sorted(pool.running() + pool.waiting(),
+                              key=attrgetter("request_id")):
+            scheduler.release_request(request)
+            yield request
 
     # ------------------------------------------------------------------
     # Dispatch.
@@ -455,14 +463,15 @@ class Router:
         rid = request.request_id
         if self.fleet.shed_watermark is not None:
             horizon = now - self.fleet.pressure_window_cycles
-            while self._pressure and self._pressure[0] < horizon:
-                self._pressure.popleft()
-            if len(self._pressure) >= self.fleet.shed_watermark:
+            for log in self._pressure:
+                while log and log[0] < horizon:
+                    log.popleft()
+            pressure = sum(map(len, self._pressure))
+            if pressure >= self.fleet.shed_watermark:
                 self._outcomes[rid] = "shed"
                 if self.events.active:
                     self.events.emit(FleetShedding(
-                        time=now, request_id=rid,
-                        pressure=len(self._pressure)))
+                        time=now, request_id=rid, pressure=pressure))
                 return
         healthy = self._healthy()
         if not healthy:
@@ -528,58 +537,39 @@ class Router:
             guard += 1
             if guard > _DRAIN_GUARD:
                 raise RuntimeError("fleet drain exceeded its step guard")
-            best: Optional[NodeHandle] = None
-            best_time = 0.0
-            for handle in self.handles:
-                if handle.down or handle.stalled:
-                    continue
-                next_time = self._cached_next_time(handle)
-                if next_time is None:
-                    continue
-                if best is None or next_time < best_time:
-                    best, best_time = handle, next_time
-            probe_time: Optional[float] = None
-            if self.schedule is not None and not self._probing_done:
-                if (any(h.down for h in self.handles) or self._queue
-                        or self._next_probe <= self.schedule.last_end):
-                    probe_time = self._next_probe
-            if probe_time is not None and \
-                    (best is None or probe_time <= best_time):
+            probe_time = self._next_probe_time()
+            best = self._earliest_node(
+                math.inf if probe_time is None else probe_time)
+            if best is not None:
+                self._step_node(best, probe_time)
+            elif probe_time is not None:
                 self._process_probes(probe_time)
-                continue
-            if best is None:
-                if self._queue and self._healthy():
-                    self._flush_queue(max(h.session.scheduler.now
-                                          for h in self.handles))
-                    continue
+            elif self._queue and self._healthy():
+                self._flush_queue(self._fleet_now())
+            else:
                 break
-            self._step_node(best, probe_time)
         self._final_sweep()
 
     def _final_sweep(self) -> None:
         """Shed anything still pooled or queued (conservation closeout)."""
         for handle in self.handles:
-            scheduler = handle.session.scheduler
-            scheduler.flush_finished()
-            pool = handle.session.pool
-            stuck = sorted(pool.running() + pool.waiting(),
-                           key=lambda r: r.request_id)
-            for request in stuck:
-                scheduler.release_request(request)
-                self._shed_stuck(request, scheduler.now)
+            for request in self._release_pooled(handle):
+                self._shed_stuck(request, handle.scheduler.now)
         while self._queue:
-            request = self._queue.popleft()
-            self._shed_stuck(request,
-                             max(h.session.scheduler.now
-                                 for h in self.handles))
+            self._shed_stuck(self._queue.popleft(), self._fleet_now())
+
+    def _fleet_now(self) -> float:
+        """The latest node clock in the fleet."""
+        return max(h.scheduler.now for h in self.handles)
 
     def _shed_stuck(self, request: InferenceRequest, now: float) -> None:
         """Record a router-level shed for one stuck request."""
         rid = request.request_id
         self._outcomes[rid] = "shed"
         if self.events.active:
-            self.events.emit(FleetShedding(time=now, request_id=rid,
-                                           pressure=len(self._pressure)))
+            self.events.emit(FleetShedding(
+                time=now, request_id=rid,
+                pressure=sum(map(len, self._pressure))))
         self._node_log.append({"event": "stuck_shed", "time": now,
                                "request_id": rid})
 

@@ -5,7 +5,7 @@ standalone NPUs, generation on NeuPIMs devices (Figure 7).  Orca's
 original selective batching instead allows *mixed* iterations, where some
 requests contribute their whole prompt (prefill) and others one decode
 token, sharing the batched GEMMs.  This module models mixed iterations on
-a NeuPIMs device so the two deployment styles can be compared:
+a NeuPIMs device:
 
 * batched GEMMs run over ``decode_tokens + sum(prompt lengths)`` rows;
 * decode requests' MHA runs on the PIM as usual (GEMV);
@@ -94,36 +94,3 @@ def mixed_iteration(device: NeuPimsDevice, batch: MixedBatch
         internal_pim_bytes=internal * device.layers,
     )
 
-
-def compare_deployment_styles(device: NeuPimsDevice,
-                              decode: Sequence[InferenceRequest],
-                              prefill: Sequence[InferenceRequest],
-                              prefill_npu=None) -> dict:
-    """Mixed iterations vs the paper's phase-split deployment.
-
-    Returns per-style cycles for serving one iteration of the decode
-    batch *and* prefilling the given prompts:
-
-    * ``mixed``: one mixed iteration carries both.
-    * ``split``: the NeuPIMs device runs the decode iteration while the
-      standalone NPU prefills concurrently (max of the two).
-    """
-    from repro.core.prefill import StandaloneNpu
-    mixed = mixed_iteration(device, MixedBatch(decode, prefill))
-    decode_only = device.iteration(list(decode)) if decode else None
-    npu = prefill_npu or StandaloneNpu(device.spec, device.config,
-                                       tp=device.tp)
-    if prefill:
-        # Scale the full-stack prefill to the device's resident layers so
-        # both styles cover the same slice of the model.
-        full = npu.prefill_batch([r.input_len for r in prefill]).total_cycles
-        prefill_cycles = full * device.layers / device.spec.num_layers
-    else:
-        prefill_cycles = 0.0
-    split = max(decode_only.latency if decode_only else 0.0, prefill_cycles)
-    return {
-        "mixed_cycles": mixed.latency,
-        "split_cycles": split,
-        "split_decode_cycles": decode_only.latency if decode_only else 0.0,
-        "split_prefill_cycles": prefill_cycles,
-    }

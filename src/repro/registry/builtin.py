@@ -23,12 +23,13 @@ Factory calling conventions (the registration contract, DESIGN.md §8):
 * ``scheduler``: ``factory(**wiring, **options) -> scheduler`` where the
   wiring kwargs are exactly :class:`~repro.serving.scheduler.
   IterationScheduler`'s constructor parameters (pool, executor,
-  max_batch_size, allocators, assign_channels, load_tracker, grouping,
-  grouped, latency_tracker, events, plus resilience and latency_hook
-  when the session has them).  The executor is the bare device call:
-  the scheduler itself charges fault penalties and the latency hook and
-  feeds the latency tracker, so custom policies usually subclass
-  ``IterationScheduler`` and accept extra options.
+  max_batch_size, allocators, assign_channels, load_tracker, grouped
+  (``None`` for serving ``grouping="off"``), latency_tracker, events,
+  plus resilience and latency_hook when the session has them).  The
+  executor is the bare device call: the scheduler itself charges fault
+  penalties and the latency hook and feeds the latency tracker, so
+  custom policies usually subclass ``IterationScheduler`` and accept
+  extra options.
 * ``faults``: ``factory(serving_spec, channels, **options) ->
   FaultInjector or None`` — ``None`` (the ``"none"`` builtin) means no
   fault injection and the session skips the resilience runtime

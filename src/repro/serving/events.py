@@ -185,8 +185,15 @@ class RequestFailedOver(ServingEvent):
 
 @dataclass(frozen=True)
 class FleetShedding(ServingEvent):
-    """The router shed an arrival: surviving-fleet KV pressure crossed
-    the admission watermark (``pressure`` recent events in window)."""
+    """The router shed a request (node ``-1``, status ``shed``).
+
+    At dispatch, the fleet's KV pressure reached the admission
+    watermark: ``pressure`` is the summed length of the per-node
+    ``KvPressure`` logs after pruning to the pressure window.  At the
+    closeout sweep (a request still stuck when the fleet drained) it is
+    the same sum without a fresh prune: the events kept at the last
+    dispatch plus any logged after it.
+    """
 
     request_id: int
     pressure: int

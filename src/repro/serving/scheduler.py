@@ -32,8 +32,7 @@ from repro.serving.events import (FaultInjected, IterationCompleted,
                                   RequestAdmitted, RequestRetired,
                                   RequestRetried, RequestShed,
                                   RequestTimedOut, WindowCommitted)
-from repro.serving.grouping import (GROUPING_MODES, GroupedExecutor,
-                                    GroupedScheduleState)
+from repro.serving.grouping import GroupedExecutor, GroupedScheduleState
 from repro.serving.paging import OutOfMemoryError, PagedKvAllocator
 from repro.serving.pool import RequestPool
 from repro.serving.request import InferenceRequest, RequestStatus
@@ -116,8 +115,8 @@ class IterationScheduler:
         refreshed and retired requests removed, so admission-time bin
         packing starts from up-to-date per-channel loads without
         re-estimating the whole resident set each iteration.
-    grouping / grouped:
-        The equivalence-class fast path.  With ``grouping="auto"`` and a
+    grouped:
+        The equivalence-class fast path.  With a
         :class:`~repro.serving.grouping.GroupedExecutor`, steady-state
         iterations (no retirements, no admissible arrivals, enough KV blocks
         for the batched growth, no resilience boundary due) commit through
@@ -130,8 +129,8 @@ class IterationScheduler:
         inspect the pool, requests, allocators and load tracker after any
         call.  Because the per-request path computes latencies from the same
         class histograms, records and aggregates are bit-identical between
-        modes.  ``"off"`` (the default for hand-built schedulers) never
-        groups.
+        modes.  ``None`` (the default; the session passes it for serving
+        ``grouping="off"``) never groups.
     latency_tracker:
         Optional :class:`~repro.serving.latency.LatencyTracker`.  The
         scheduler advances its clock by every charged iteration latency
@@ -173,7 +172,6 @@ class IterationScheduler:
         allocators: Optional[List[PagedKvAllocator]] = None,
         assign_channels: Optional[ChannelAssigner] = None,
         load_tracker: Optional["ChannelLoadTracker"] = None,
-        grouping: str = "off",
         grouped: Optional[GroupedExecutor] = None,
         latency_tracker: Optional["LatencyTracker"] = None,
         events: Optional["EventBus"] = None,
@@ -182,16 +180,12 @@ class IterationScheduler:
     ) -> None:
         if max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
-        if grouping not in GROUPING_MODES:
-            raise ValueError(f"unknown grouping mode {grouping!r}; "
-                             f"known: {GROUPING_MODES}")
         self.pool = pool
         self.executor = executor
         self.max_batch_size = max_batch_size
         self.allocators = allocators
         self.assign_channels = assign_channels
         self.load_tracker = load_tracker
-        self.grouping = grouping
         self.grouped = grouped
         self.latency_tracker = latency_tracker
         self.events = events
@@ -559,25 +553,13 @@ class IterationScheduler:
             need: Dict[int, int] = {}
             if self.allocators is not None:
                 need = state.block_need(self.allocators)
-                starved = [(channel, blocks)
-                           for channel, blocks in need.items()
+                starved = [channel for channel, blocks in need.items()
                            if self.allocators[channel].free_blocks < blocks]
                 if starved:
                     # Not enough KV for the batched growth: the
-                    # per-request path owns this iteration (including its
-                    # exact mid-generation OOM semantics).  Only the call
-                    # that hands it over reports the pressure, so a
-                    # starved iteration reports once however the caller
-                    # chunks its steps.
-                    events = self.events
-                    if last is None and events is not None and \
-                            events.active:
-                        for channel, blocks in starved:
-                            events.emit(KvPressure(
-                                time=self._now, channel=channel,
-                                needed_blocks=blocks,
-                                free_blocks=self.allocators[channel]
-                                .free_blocks))
+                    # per-request path owns this iteration, including its
+                    # exact mid-generation OOM semantics and their
+                    # KvPressure reports.
                     break
             latency, end = self._charge(
                 self.grouped.run(state.plan, state.shift), state.batch)
@@ -601,7 +583,7 @@ class IterationScheduler:
         starts before ``until``; the returned record is the last one,
         and every request, allocator and tracker is up to date on return.
         """
-        if self.grouping != "off" and self.grouped is not None:
+        if self.grouped is not None:
             record = self._grouped_steps(
                 max_steps, math.inf if until is None else until)
             if record is not None:

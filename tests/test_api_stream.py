@@ -216,12 +216,13 @@ class TestEventTaxonomy:
         assert [e for e in events if isinstance(e, KvPressure)]
 
     def test_kv_pressure_reported_once_per_starved_iteration(self):
-        # A window that stops on a KV shortage after committing steps
-        # leaves the report to the call that hands the iteration over,
-        # so the pressure stream does not depend on step chunking.
-        def pressure(max_steps):
+        # A window that stops on a KV shortage reports nothing: the
+        # per-request path owns the starved iteration and its report, so
+        # the pressure stream depends neither on step chunking nor on
+        # the grouping mode.
+        def pressure(max_steps, grouping="auto"):
             session = Session(poisson_spec(
-                "auto", kv_capacity_bytes=1 << 22, max_batch_size=8))
+                grouping, kv_capacity_bytes=1 << 22, max_batch_size=8))
             session.materialize()
             seen = []
             session.events.subscribe(KvPressure, seen.append)
@@ -232,6 +233,7 @@ class TestEventTaxonomy:
         single = pressure(1)
         assert single
         assert pressure(1000) == single
+        assert pressure(1000, grouping="off") == single
 
     def test_subscribers_see_events_during_batch_run(self):
         session = Session(poisson_spec("auto"))

@@ -231,6 +231,40 @@ class TestGroupingInvariance:
                    for w in windows)
         assert payload == run_fleet(fleet("off")).to_dict()
 
+    def test_watermark_fleet_sheds_and_keeps_grouped_windows(self):
+        from repro.serving.events import FleetShedding, WindowCommitted
+        # Tight KV budgets make the nodes report KvPressure, so the
+        # router sheds; nodes still commit whole windows between
+        # arrivals, because the watermark reads per-node pressure logs.
+        traffic = TrafficSpec.poisson(dataset="sharegpt",
+                                      rate_per_kcycle=0.005,
+                                      horizon_cycles=1.5e8, seed=5,
+                                      max_requests=300)
+
+        def router(grouping, max_group_steps=None):
+            node = self.NODE.override(serving=ServingSpec(
+                max_batch_size=32, kv_capacity_bytes=1 << 24,
+                grouping=grouping))
+            fleet = FleetSpec(nodes=(node,) * 3, traffic=traffic,
+                              policy="least-loaded", shed_watermark=3,
+                              pressure_window_cycles=1e7)
+            built = Router(fleet).materialize()
+            built.max_group_steps = max_group_steps
+            return built
+
+        auto = router("auto")
+        sheds, windows = [], []
+        auto.events.subscribe(FleetShedding, sheds.append)
+        for handle in auto.handles:
+            handle.session.events.subscribe(WindowCommitted, windows.append)
+        last_arrival = auto.stream[-1].arrival_time
+        payload = auto.run().to_dict()
+        assert any(shed.time < last_arrival for shed in sheds)
+        assert any(w.iterations > 1 and w.time < last_arrival
+                   for w in windows)
+        assert payload == router("auto", max_group_steps=1).run().to_dict()
+        assert payload == router("off").run().to_dict()
+
     def test_degraded_nodes_keep_grouped_windows(self):
         from repro.serving.events import WindowCommitted
         faults = dict(policy="least-loaded", fault_seed=4,

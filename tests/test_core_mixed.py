@@ -5,7 +5,6 @@ import pytest
 from repro.core.device import NeuPimsDevice
 from repro.core.mixed import (
     MixedBatch,
-    compare_deployment_styles,
     mixed_iteration,
     prefill_attention_cycles,
 )
@@ -75,32 +74,3 @@ class TestMixedIteration:
             d, MixedBatch(decode, [prefill_request(60, 64)])).latency
         # The small prefill hides inside the long MHA stage.
         assert combo < base * 1.15
-
-
-class TestDeploymentStyles:
-    def test_split_protects_decode_latency(self):
-        """The paper's phase-split deployment shields decode iterations
-        from prompt work: with prompts offloaded to the standalone NPU,
-        the decode iteration stays at its prefill-free latency, while a
-        mixed iteration stretches every running request's token time."""
-        d = device()
-        decode = [make_request(i, input_len=256) for i in range(64)]
-        prefill = [prefill_request(100 + i, 1024) for i in range(4)]
-        styles = compare_deployment_styles(d, decode, prefill)
-        assert styles["split_decode_cycles"] < styles["mixed_cycles"]
-
-    def test_mixed_total_work_bounded_by_serial_sum(self):
-        d = device()
-        decode = [make_request(i, input_len=256) for i in range(64)]
-        prefill = [prefill_request(100 + i, 1024) for i in range(4)]
-        styles = compare_deployment_styles(d, decode, prefill)
-        serial = (styles["split_decode_cycles"]
-                  + styles["split_prefill_cycles"])
-        assert styles["mixed_cycles"] < serial
-
-    def test_styles_report_components(self):
-        d = device()
-        decode = [make_request(i) for i in range(8)]
-        styles = compare_deployment_styles(d, decode, [])
-        assert styles["split_prefill_cycles"] == 0.0
-        assert styles["split_cycles"] == styles["split_decode_cycles"]

@@ -128,10 +128,6 @@ class TestGroupingModes:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="grouping"):
             ServingSpec(grouping="sometimes")
-        pool = RequestPool()
-        with pytest.raises(ValueError, match="grouping"):
-            IterationScheduler(pool, lambda batch: 1.0, 4,
-                               grouping="sometimes")
         # "auto" already groups wherever a class engine exists.
         with pytest.raises(ValueError, match="grouping"):
             ServingSpec(grouping="on")
@@ -145,7 +141,7 @@ class TestGroupingModes:
 
 
 class TestGroupCommitWindows:
-    def _scheduler(self, batch_size=32, grouping="auto", output_len=40):
+    def _scheduler(self, batch_size=32, output_len=40):
         device = NeuPimsDevice(GPT3_7B, tp=4, layers_resident=2)
         pool = RequestPool()
         pool.submit_all(
@@ -160,7 +156,7 @@ class TestGroupCommitWindows:
         scheduler = IterationScheduler(
             pool, device.executor(), max_batch_size=batch_size,
             assign_channels=device.assign_channels,
-            grouping=grouping, grouped=grouped)
+            grouped=grouped)
         return scheduler
 
     def test_one_call_commits_a_window(self):

@@ -349,8 +349,9 @@ class TestGroupedWindowGuard:
 
         scheduler, runtime = scheduler_with(
             make_requests(), serving, injector=injector, batch=batch,
-            events=bus, grouping=grouping,
-            grouped=GroupedExecutor(lambda batch: None, grouped_run))
+            events=bus,
+            grouped=(GroupedExecutor(lambda batch: None, grouped_run)
+                     if grouping == "auto" else None))
         holder["scheduler"] = scheduler
         scheduler.run(max_iterations=iterations)
         return scheduler, runtime, seen, grouped_starts
