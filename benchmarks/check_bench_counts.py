@@ -10,11 +10,14 @@ last line of its output (one JSON object) and compares each workload's
 traced call counts against the ``trace`` pass recorded in the newest
 ``BENCH_<n>.json`` at the repository root.  The counts are exact
 functions of the code and the seed, so the gate has no noise: it fails
-if the run is not ``correct``, if any count is higher than recorded, or
-if a serving workload's traced device iterations differ from its
-scheduler iterations (every committed iteration must pass through the
-traced device entry, so the counts cannot be lowered by routing around
-it).
+if the run is not ``correct``, if any count is higher than recorded, if
+a serving workload's traced device iterations differ from its scheduler
+iterations (every committed iteration must pass through the traced
+device entry, so the counts cannot be lowered by routing around it), or
+if a workload's ``grouping.grouped_share`` is lower than recorded (the
+share of iterations committed through the class engine is deterministic
+too, and a falling share means iterations went back to the per-request
+path).
 ``--result FILE`` checks a saved output instead of running the
 benchmark.  Exit code 0 means every count held.
 """
@@ -34,6 +37,9 @@ ROOT = Path(__file__).resolve().parent.parent
 #: Traced per-layer counts that may not grow between BENCH files.
 COUNTS = ("kv.calls", "binpack.tracker_calls", "latency.calls",
           "pool.calls", "device.mha_classes_calls")
+
+#: Traced per-layer shares that may not fall between BENCH files.
+SHARES = ("grouping.grouped_share",)
 
 TRACE_COMMAND = ["perfbench/run.py", "--workload", "all", "--seed", "0",
                  "--trace", "1"]
@@ -69,6 +75,26 @@ def count_regressions(recorded: Dict[str, Any],
         new = measured[key]["value"]
         if new > old:
             problems.append(f"{key}: {new} > {old} recorded")
+    return problems
+
+
+def share_regressions(recorded: Dict[str, Any],
+                      measured: Dict[str, Any]) -> List[str]:
+    """Shares in ``measured`` below ``recorded`` (both JSON ``metrics``).
+
+    A workload that runs no iterations reads 0 in both and passes.
+    """
+    problems = []
+    for key in sorted(recorded):
+        if key.split(".", 1)[1] not in SHARES:
+            continue
+        if key not in measured:
+            problems.append(f"{key}: missing from the run")
+            continue
+        old = recorded[key]["value"]
+        new = measured[key]["value"]
+        if new < old:
+            problems.append(f"{key}: {new} < {old} recorded")
     return problems
 
 
@@ -117,12 +143,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         ["the traced run is not correct (digest or invariant failure)"]
     measured = result.get("metrics", {})
     problems += count_regressions(recorded, measured)
+    problems += share_regressions(recorded, measured)
     problems += iteration_mismatches(measured)
     for problem in problems:
         print(f"count gate: {problem}", file=sys.stderr)
-    checked = sum(1 for key in recorded if key.split(".", 1)[1] in COUNTS)
+    metrics = [key.split(".", 1)[1] for key in recorded]
+    counts = sum(1 for metric in metrics if metric in COUNTS)
+    shares = sum(1 for metric in metrics if metric in SHARES)
     if not problems:
-        print(f"count gate: {checked} counts at or below {bench.name}")
+        print(f"count gate: {counts} counts at or below and {shares} "
+              f"shares at or above {bench.name}")
     return 1 if problems else 0
 
 

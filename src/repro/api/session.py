@@ -370,7 +370,9 @@ class Session:
         (the scheduler then stays on the per-request path).  The
         returned runner feeds the same
         busy/byte accumulators as :meth:`_executor`, so aggregates are
-        identical between paths.
+        identical between paths.  Both halves look the engine's methods
+        up at call time, as the per-request executor does, so anything
+        that rebinds them on the live engine sees every call.
         """
         if grouping == "off":
             return None
@@ -381,8 +383,9 @@ class Session:
                 latency = system.iteration_from_plan(plan, shift)
                 self._latency_acc += latency
                 return latency
-            return GroupedExecutor(system.prepare_class_plan,
-                                   run_system_plan)
+            return GroupedExecutor(
+                lambda batch: system.prepare_class_plan(batch),
+                run_system_plan)
         if isinstance(self.device, NeuPimsDevice):
             device = self.device
 
@@ -391,8 +394,9 @@ class Session:
                                                                      shift)
                 self._accumulate(result)
                 return result.latency
-            return GroupedExecutor(device.prepare_class_plan,
-                                   run_device_plan)
+            return GroupedExecutor(
+                lambda batch: device.prepare_class_plan(batch),
+                run_device_plan)
         return None
 
     def _executor(self):

@@ -28,9 +28,10 @@ class ChannelLoadTracker:
     every channel's whole resident set at each admission boundary would be
     O(batch x channels x iterations), so this tracker keeps those loads
     live instead.  The scheduler calls :meth:`add` on admission,
-    :meth:`update` when a request's context grows, and :meth:`remove` on
-    retirement; the bin packer starts from :attr:`loads` instead of
-    re-estimating the resident set.
+    :meth:`update` when a request's context grows (:meth:`shift` when a
+    grouped window grew them all), and :meth:`remove` on retirement;
+    the bin packer starts from :attr:`loads` instead of re-estimating
+    the resident set.
 
     The tracker stores a per-channel **seq_len histogram** (integer
     multiplicities of each equivalence class) and derives loads from it
@@ -40,6 +41,11 @@ class ChannelLoadTracker:
     update path and the grouped engine's batched resync produce
     bit-identical loads, and :func:`channel_loads` (the scan-based
     recompute) uses the same canonical accumulation.
+
+    Histogram keys are ``seq_len - offset`` for one tracker-wide
+    ``offset``: a grouped window over the whole tracked set advances
+    every context by the same number of tokens, which :meth:`shift`
+    records in O(1) instead of moving each request's key.
 
     Note this is a *behavioral* upgrade where wired in, not only a fast
     path: the untracked scheduler wiring passes no resident set, so
@@ -57,10 +63,12 @@ class ChannelLoadTracker:
             raise ValueError("num_channels must be positive")
         self.estimator = estimator
         self.num_channels = num_channels
-        #: per-channel {seq_len: count} histograms
+        #: per-channel {seq_len - offset: count} histograms
         self._hist: List[Dict[int, int]] = [{} for _ in range(num_channels)]
-        #: request id -> (channel, seq_len at last refresh)
+        #: request id -> (channel, seq_len - offset at last refresh)
         self._contrib: Dict[int, Tuple[int, int]] = {}
+        #: tokens added to every tracked context by :meth:`shift`
+        self._offset = 0
         #: per-channel cached load (None = recompute from histogram)
         self._cache: List[Optional[float]] = [0.0] * num_channels
 
@@ -73,9 +81,10 @@ class ChannelLoadTracker:
         cached = self._cache[channel]
         if cached is None:
             hist = self._hist[channel]
+            offset = self._offset
             cached = 0.0
-            for seq_len in sorted(hist):
-                cached += self.estimator.estimate(seq_len) * hist[seq_len]
+            for key in sorted(hist):
+                cached += self.estimator.estimate(key + offset) * hist[key]
             self._cache[channel] = cached
         return cached
 
@@ -91,22 +100,22 @@ class ChannelLoadTracker:
             )
         return channel
 
-    def _hist_add(self, channel: int, seq_len: int, count: int = 1) -> None:
+    def _hist_add(self, channel: int, key: int) -> None:
         hist = self._hist[channel]
-        hist[seq_len] = hist.get(seq_len, 0) + count
+        hist[key] = hist.get(key, 0) + 1
         self._cache[channel] = None
 
-    def _hist_remove(self, channel: int, seq_len: int,
-                     count: int = 1) -> None:
+    def _hist_remove(self, channel: int, key: int) -> None:
         hist = self._hist[channel]
-        remaining = hist.get(seq_len, 0) - count
+        remaining = hist.get(key, 0) - 1
         if remaining < 0:
             raise ValueError(
-                f"channel {channel} histogram underflow at seq_len {seq_len}")
+                f"channel {channel} histogram underflow at seq_len "
+                f"{key + self._offset}")
         if remaining:
-            hist[seq_len] = remaining
+            hist[key] = remaining
         else:
-            hist.pop(seq_len, None)
+            hist.pop(key, None)
         self._cache[channel] = None
 
     def add(self, request: InferenceRequest) -> float:
@@ -115,8 +124,9 @@ class ChannelLoadTracker:
         if request.request_id in self._contrib:
             raise ValueError(f"request {request.request_id} already tracked")
         seq_len = request.seq_len
-        self._hist_add(channel, seq_len)
-        self._contrib[request.request_id] = (channel, seq_len)
+        key = seq_len - self._offset
+        self._hist_add(channel, key)
+        self._contrib[request.request_id] = (channel, key)
         return self.estimator.estimate(seq_len)
 
     def update(self, request: InferenceRequest) -> None:
@@ -133,40 +143,53 @@ class ChannelLoadTracker:
             if channel is not None and 0 <= channel < self.num_channels:
                 self.add(request)
             return
-        old_channel, old_seq = entry
+        old_channel, old_key = entry
         if request.channel != old_channel:
             # The request was re-homed (e.g. re-assigned for a smaller
             # channel pool): migrate its contribution.
             self.remove(request)
             self.update(request)
             return
-        new_seq = request.seq_len
-        if new_seq == old_seq:
+        new_key = request.seq_len - self._offset
+        if new_key == old_key:
             return
-        self._hist_remove(old_channel, old_seq)
-        self._hist_add(old_channel, new_seq)
-        self._contrib[request.request_id] = (old_channel, new_seq)
+        self._hist_remove(old_channel, old_key)
+        self._hist_add(old_channel, new_key)
+        self._contrib[request.request_id] = (old_channel, new_key)
 
     def sync_member(self, request_id: int, channel: int,
                     seq_len: int) -> None:
-        """Batched resync from the grouped engine (upserting, like
-        :meth:`update`, but without touching the request object)."""
+        """Per-member resync from the grouped engine (upserting, like
+        :meth:`update`, but without touching the request object); the
+        fallback of :meth:`shift` when a window's batch is not exactly
+        the tracked set."""
+        key = seq_len - self._offset
         entry = self._contrib.get(request_id)
         if entry is not None:
-            old_channel, old_seq = entry
-            if (old_channel, old_seq) == (channel, seq_len):
+            if entry == (channel, key):
                 return
-            self._hist_remove(old_channel, old_seq)
-        self._hist_add(channel, seq_len)
-        self._contrib[request_id] = (channel, seq_len)
+            self._hist_remove(*entry)
+        self._hist_add(channel, key)
+        self._contrib[request_id] = (channel, key)
+
+    def shift(self, steps: int) -> None:
+        """Every tracked context grew by ``steps`` tokens.
+
+        The grouped engine's window close when its batch is exactly the
+        tracked set: O(channels), whatever the batch size.  Keys are
+        relative to the offset, so the histograms keep their shape and
+        order and loads stay the canonical ascending-seq_len sums.
+        """
+        if steps:
+            self._offset += steps
+            self._cache = [None] * self.num_channels
 
     def remove(self, request: InferenceRequest) -> None:
         """Stop tracking a retired request (no-op when untracked)."""
         entry = self._contrib.pop(request.request_id, None)
         if entry is None:
             return
-        channel, seq_len = entry
-        self._hist_remove(channel, seq_len)
+        self._hist_remove(*entry)
 
     def clear(self) -> None:
         """Forget every tracked request."""

@@ -94,7 +94,7 @@ class ResilienceRuntime:
         ``None`` when no window may open at ``now``: aborts are queued,
         or a KV fault blocks a batch channel, where every per-request
         growth step raises.  Otherwise a ``due(t)`` predicate, true at
-        the first iteration start ``t`` where the per-request boundary
+        the first iteration start ``t`` where the iteration boundary
         would act: the next unpolled fault starts, a batch request
         passes its deadline, or a waiting request passes the shedding
         window.  Float subtraction is monotone, so testing the smallest

@@ -26,18 +26,21 @@ work instead of per-request work:
 * :class:`GroupedScheduleState` is the scheduler-side window state: the
   class groups with their member lists, the current shift, and the
   synchronization that writes the deferred per-request effects (token
-  counts, paged-KV allocations, channel-load contributions, latency
-  bookkeeping) back when the window closes.  A window lives inside one
+  counts, paged-KV allocations that changed, the channel-load shift)
+  back when the window closes.  A window lives inside one
   ``IterationScheduler.run_iteration`` call and closes before it
   returns.
 
 A *boundary* is any event that breaks translation invariance: a class
 reaching ``remaining == 0``, a waiting request becoming admissible, or a
-channel without enough free KV blocks for the batched growth.  The
-scheduler then closes the window and falls back to the per-request path
-for that iteration — which, because the arithmetic is shared, produces
-exactly the record the grouped path would have.  The next call builds a
-fresh plan; a re-planned window commits exactly what a continued one
+resilience boundary coming due.  The window closes before such an
+iteration; the next ``run_iteration`` call acts on the boundary
+(retirement, admission, faults) and then runs that iteration as the
+first step of a fresh window, so every unstarved iteration goes through
+the class engine.  Only a channel without enough free KV blocks for the
+batched growth, or a resilience state in which no window may open,
+hands an iteration to the per-request path — which, because the
+arithmetic is shared, produces exactly the record the grouped path
 would have.
 """
 
@@ -51,7 +54,6 @@ from repro.serving.request import InferenceRequest, RequestStatus
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.core.binpack import ChannelLoadTracker
-    from repro.serving.latency import LatencyTracker
     from repro.serving.paging import PagedKvAllocator
 
 #: Valid values of the serving/scheduler ``grouping`` knob.
@@ -188,8 +190,8 @@ class GroupedScheduleState:
     the state tracks the accumulated ``shift`` and :meth:`sync` writes
     every deferred effect back in one pass when the window closes —
     generated-token counts, ``DONE`` transitions (which fire the pool's
-    status observers), paged KV allocation bookkeeping, channel-load
-    tracker contributions and per-request latency completions.
+    status observers), paged KV allocation bookkeeping and channel-load
+    tracker contributions.
     """
 
     def __init__(self, batch: Sequence[InferenceRequest], plan: Any) -> None:
@@ -206,19 +208,12 @@ class GroupedScheduleState:
                 group.members.append(request)
         self._groups = [groups[key] for key in sorted(groups)]
         self._min_remaining = min(g.remaining for g in self._groups)
-        #: members that have not produced a first token yet (latency
-        #: bookkeeping parity with the per-request path)
-        self._fresh: List[InferenceRequest] = []
         #: lazily built block-crossing schedule (see :meth:`block_need`)
         self._block_plan: Optional[Dict[Tuple[int, int],
                                         List[Tuple[int, int]]]] = None
         self._block_sizes: List[int] = []
 
     # -- structure ------------------------------------------------------
-
-    @property
-    def batch_size(self) -> int:
-        return len(self.batch)
 
     def steps_until_finish(self) -> int:
         """Iterations until the shortest-remaining class completes."""
@@ -262,59 +257,51 @@ class GroupedScheduleState:
                     need[channel] = need.get(channel, 0) + count
         return need
 
-    # -- latency bookkeeping --------------------------------------------
-
-    def collect_fresh(self, tracker: Optional["LatencyTracker"]) -> None:
-        """Find members the latency tracker has not seen run yet."""
-        if tracker is None:
-            return
-        self._fresh = [r for r in self.batch
-                       if not tracker.has_first_token(r.request_id)]
-
-    def flush_fresh(self, tracker: Optional["LatencyTracker"],
-                    end: float) -> None:
-        """Record first-token times after the window's first iteration."""
-        if tracker is None or not self._fresh:
-            return
-        for request in self._fresh:
-            tracker.observe_running(request, end)
-        self._fresh = []
-
     # -- window close ---------------------------------------------------
 
     def sync(self, allocators: Optional[Sequence["PagedKvAllocator"]],
-             load_tracker: Optional["ChannelLoadTracker"],
-             latency_tracker: Optional["LatencyTracker"],
-             clock_end: float) -> None:
+             load_tracker: Optional["ChannelLoadTracker"]) -> None:
         """Write all deferred per-request effects back to the live stack.
 
-        Called once, when the window closes.  Safe at any shift
-        (``shift == 0`` is a no-op apart from latency completions, which
-        the per-request path would have refreshed every iteration
-        anyway).
+        Called once, when the window closes.  Every member's token count
+        moves (the per-member write that remains); the rest is per class
+        or per window:
+
+        * the KV ledger is written only for classes whose block count
+          changed.  At a boundary a running request's ledger equals
+          ``blocks_for(seq_len)`` (admission and every growth step
+          allocate exactly that), so an unchanged count needs no write;
+        * the load tracker shifts once when the batch is exactly its
+          tracked set, else each member is upserted (adopting requests
+          that started running without crossing admission);
+        * latency needs nothing: a running request completes at the
+          tracker's clock until it leaves the batch.
         """
         shift = self.shift
+        if not shift:
+            return
         for group in self._groups:
             seq_len = group.seq_len + shift
-            finished = group.remaining - shift == 0
-            blocks = (allocators[group.channel].blocks_for(seq_len)
-                      if allocators is not None else 0)
-            for request in group.members:
-                if shift:
-                    request.generated += shift
-                    if allocators is not None:
-                        allocators[group.channel].set_allocation(
-                            request.request_id, blocks)
-                    if load_tracker is not None:
-                        # Mirrors the per-request path's per-iteration
-                        # ``tracker.update`` (including adoption of
-                        # pre-warmed requests it has never seen).
-                        load_tracker.sync_member(request.request_id,
-                                                 group.channel, seq_len)
-                if (latency_tracker is not None and latency_tracker
-                        .has_first_token(request.request_id)):
-                    latency_tracker.note_completion(request.request_id,
-                                                    clock_end)
-                if finished:
+            members = group.members
+            for request in members:
+                request.generated += shift
+            if allocators is not None:
+                allocator = allocators[group.channel]
+                block_tokens = allocator.config.block_tokens
+                blocks = -(-seq_len // block_tokens)
+                if blocks != -(-group.seq_len // block_tokens):
+                    for request in members:
+                        allocator.set_allocation(request.request_id, blocks)
+            if group.remaining == shift:
+                for request in members:
                     # Fires the pool's status observer (bucket move).
                     request.status = RequestStatus.DONE
+        if load_tracker is not None:
+            if len(load_tracker) == len(self.batch):
+                load_tracker.shift(shift)
+            else:
+                for group in self._groups:
+                    seq_len = group.seq_len + shift
+                    for request in group.members:
+                        load_tracker.sync_member(request.request_id,
+                                                 group.channel, seq_len)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from math import ceil
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.serving.scheduler import ServingStats
 
@@ -113,8 +113,14 @@ class LatencyTracker:
     Handed to an :class:`~repro.serving.scheduler.IterationScheduler` as
     ``latency_tracker``: the scheduler's iteration epilogue advances the
     clock and records, per request, the end time of its first generation
-    iteration and of its completing iteration (both paths — the grouped
-    engine through :meth:`note_completion` at its boundaries).
+    iteration and of its completing iteration.
+
+    A request that has run and is still in the batch is *live*: it ran in
+    every iteration since it joined, so its completion time is the clock
+    and nothing is written per iteration.  The completion is stamped once,
+    by :meth:`note_completion`, when the request leaves the batch
+    (retired, retried, terminated or released for failover), and a
+    re-admitted request is live again from its next iteration.
     """
 
     def __init__(self) -> None:
@@ -122,6 +128,8 @@ class LatencyTracker:
         self._completion: Dict[int, float] = {}
         self._arrivals: Dict[int, float] = {}
         self._outputs: Dict[int, int] = {}
+        #: ids of the requests in the batch that have run (see class doc)
+        self._live: Set[int] = set()
         #: execution clock: the end time of the last observed iteration
         self._clock = 0.0
         #: memoized :meth:`report`, dropped on new observations
@@ -135,6 +143,8 @@ class LatencyTracker:
     def advance_clock(self, latency: float) -> float:
         """Account one executed iteration; returns its end time."""
         self._clock += latency
+        if self._live:
+            self._report_cache = None
         return self._clock
 
     def sync_clock(self, now: float) -> None:
@@ -149,43 +159,65 @@ class LatencyTracker:
         """
         if now > self._clock:
             self._clock = now
+            if self._live:
+                self._report_cache = None
 
     def observe_running(self, request, end: float) -> None:
-        """Record that ``request`` ran in an iteration finishing at ``end``."""
+        """Record that ``request`` ran in the iteration ending at ``end``
+        (the clock); a no-op while the request is live."""
         rid = request.request_id
+        if rid in self._live:
+            return
+        self._live.add(rid)
         self._arrivals.setdefault(rid, request.arrival_time)
         self._outputs[rid] = request.output_len
         self._first_token.setdefault(rid, end)
-        # generated advances after the executor returns; the last
-        # iteration a request appears in is its completion.
-        self._completion[rid] = end
         self._report_cache = None
+
+    def observe_batch(self, batch, end: float) -> None:
+        """:meth:`observe_running` for every request of ``batch`` — one
+        call per grouped window, only the requests that just joined the
+        batch write anything."""
+        live = self._live
+        for request in batch:
+            if request.request_id not in live:
+                self.observe_running(request, end)
 
     def has_first_token(self, request_id: int) -> bool:
         """Whether the request has produced its first token yet."""
         return request_id in self._first_token
 
-    def note_completion(self, request_id: int, end: float) -> None:
-        """Refresh a request's completion time (grouped-engine sync)."""
-        self._completion[request_id] = end
-        self._report_cache = None
+    def note_completion(self, request_id: int) -> None:
+        """Stamp the completion of a request leaving the batch.
+
+        A live request's last iteration is the one that ended at the
+        clock, so that is its completion time; the report does not
+        change.  A request that is not live (it never ran, or it already
+        left) is ignored.
+        """
+        if request_id in self._live:
+            self._live.remove(request_id)
+            self._completion[request_id] = self._clock
 
     def report(self) -> LatencyReport:
         """Build the latency report for all requests seen.
 
-        The report is memoized until the next observation lands (the
-        session result and any fleet-level merge both read it), so
-        callers must treat the returned report as read-only.
+        Live requests complete at the clock.  The report is memoized
+        until the next observation lands (the session result and any
+        fleet-level merge both read it), so callers must treat the
+        returned report as read-only.
         """
         if self._report_cache is not None:
             return self._report_cache
         report = LatencyReport()
+        live, clock = self._live, self._clock
         for rid, first in sorted(self._first_token.items()):
             report.add(RequestLatency(
                 request_id=rid,
                 arrival_time=self._arrivals.get(rid, 0.0),
                 first_token_time=first,
-                completion_time=self._completion[rid],
+                completion_time=(clock if rid in live
+                                 else self._completion[rid]),
                 output_tokens=max(1, self._outputs.get(rid, 1)),
             ))
         self._report_cache = report

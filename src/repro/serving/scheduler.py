@@ -11,6 +11,12 @@ The scheduler is device-agnostic: a ``BatchExecutor`` maps the current
 batch to an iteration latency, and the scheduler advances request states.
 This is how the same serving loop drives NeuPIMs and every baseline.
 
+Every iteration starts at a boundary: finished requests retire, waiting
+ones are admitted, and (with a resilience runtime) faults, deadlines and
+shedding act.  Under grouping, that iteration and the steady-state ones
+after it commit through the class engine as one window
+(:mod:`repro.serving.grouping`).
+
 Everything that happens to an iteration's latency after the device
 returns it — fault penalties and owed restore cycles, an optional
 latency hook (fleet node degrades), the latency tracker's clock and
@@ -112,31 +118,38 @@ class IterationScheduler:
     load_tracker:
         Optional :class:`~repro.core.binpack.ChannelLoadTracker` kept live
         across iterations: admitted requests are added, growing contexts
-        refreshed and retired requests removed, so admission-time bin
-        packing starts from up-to-date per-channel loads without
-        re-estimating the whole resident set each iteration.
+        refreshed (one tracker-wide shift per grouped window) and retired
+        requests removed, so admission-time bin packing starts from
+        up-to-date per-channel loads without re-estimating the whole
+        resident set each iteration.
     grouped:
-        The equivalence-class fast path.  With a
-        :class:`~repro.serving.grouping.GroupedExecutor`, steady-state
-        iterations (no retirements, no admissible arrivals, enough KV blocks
-        for the batched growth, no resilience boundary due) commit through
-        the class-grouped engine: the iteration latency comes from the
-        frozen class plan plus a uniform seq_len shift, request objects are
-        left untouched while the window runs, and paged-KV growth, load
-        tracking and latency bookkeeping happen as batched per-class
-        operations.  A window closes (its deferred state written back)
-        inside the :meth:`run_iteration` call that opened it, so callers may
-        inspect the pool, requests, allocators and load tracker after any
-        call.  Because the per-request path computes latencies from the same
-        class histograms, records and aggregates are bit-identical between
-        modes.  ``None`` (the default; the session passes it for serving
-        ``grouping="off"``) never groups.
+        The equivalence-class engine.  With a
+        :class:`~repro.serving.grouping.GroupedExecutor`, every iteration
+        commits through it once the boundary (resilience, retirement,
+        admission) has acted: the boundary iteration is the first step of
+        a window, which then continues while no boundary is due (no class
+        finishes, no arrival for free batch space, no resilience boundary).
+        The iteration latency comes from the frozen class plan plus a
+        uniform seq_len shift, request objects are left untouched while
+        the window runs, and paged-KV growth, load tracking and latency
+        bookkeeping cost O(classes) or O(1) per window.  What stays per
+        request is boundary work (admission, retirement, departures) and
+        each member's token count at window close.  Only an iteration
+        whose batched KV growth does not fit, or one where the resilience
+        runtime allows no window, runs per request.  A window closes (its
+        deferred state written back) inside the :meth:`run_iteration` call
+        that opened it, so callers may inspect the pool, requests,
+        allocators and trackers after any call.  Because the per-request
+        path computes latencies from the same class histograms, records
+        and aggregates are bit-identical between modes.  ``None`` (the
+        default; the session passes it for serving ``grouping="off"``)
+        never groups: the per-request reference.
     latency_tracker:
         Optional :class:`~repro.serving.latency.LatencyTracker`.  The
         scheduler advances its clock by every charged iteration latency
-        (both paths) and stamps each running request's first-token and
-        completion times; pass the bare device executor, not a wrapped
-        one.
+        (both paths), records each request's first iteration when it
+        joins the batch and stamps its completion when it leaves; pass
+        the bare device executor, not a wrapped one.
     latency_hook:
         Optional ``(start_time, latency) -> latency`` applied to every
         iteration on both paths, after the fault penalties and before
@@ -272,6 +285,8 @@ class IterationScheduler:
             return 0
         done = self.pool.retire_finished()
         for request in done:
+            if self.latency_tracker is not None:
+                self.latency_tracker.note_completion(request.request_id)
             if self.allocators is not None:
                 self.kv_page_churn += self.allocators[0].blocks_for(
                     request.seq_len)
@@ -315,8 +330,11 @@ class IterationScheduler:
         request.channel = None
 
     def _detach(self, request: InferenceRequest) -> None:
-        """Drop ``request``'s KV, load-tracker, pool and retry state."""
+        """Drop ``request``'s KV, load-tracker, pool and retry state
+        (stamping its completion if it was running)."""
         rid = request.request_id
+        if self.latency_tracker is not None:
+            self.latency_tracker.note_completion(rid)
         if self.load_tracker is not None and \
                 request.status is RequestStatus.RUNNING:
             self.load_tracker.remove(request)
@@ -366,6 +384,8 @@ class IterationScheduler:
         attempt = resilience.attempts.get(rid, 0) + 1
         if attempt > resilience.serving.max_retries:
             return False
+        if self.latency_tracker is not None:
+            self.latency_tracker.note_completion(rid)
         if self.load_tracker is not None and \
                 request.status is RequestStatus.RUNNING:
             self.load_tracker.remove(request)
@@ -499,76 +519,73 @@ class IterationScheduler:
         window returns, so no deferred state outlives the call.
         """
         events = self.events
-        if state.shift > 0 and events is not None and events.active:
+        if events is not None and events.active:
             events.emit(WindowCommitted(time=self._now,
                                         iterations=state.shift))
-        # The epilogue moves the tracker's clock in step with ``now``.
-        state.sync(self.allocators, self.load_tracker,
-                   self.latency_tracker, self._now)
+        state.sync(self.allocators, self.load_tracker)
 
-    def _grouped_steps(self, max_steps: int,
+    def _grouped_steps(self, batch: List[InferenceRequest], admitted: int,
+                       retired: int, max_steps: int,
                        until: float) -> Optional[IterationRecord]:
         """Commit up to ``max_steps`` iterations through the class engine.
 
-        Iterations after the first commit only while they start before
-        ``until``.  Returns the last committed record, or ``None`` when
-        the grouped path cannot run this iteration (a boundary is
-        pending) and the per-request path — whose arithmetic is
-        identical — takes over.  The window opens and closes inside this
-        call.
+        The boundary has already acted on ``batch``, so the first
+        iteration is not checked for a due boundary; its record carries
+        the boundary's ``admitted``/``retired`` counts.  Later iterations
+        commit while they start before ``until`` and no boundary is due:
+        no class finishes, no waiting request arrives for free batch
+        space, no resilience boundary would act.  Returns the last
+        committed record, or ``None`` when the per-request path — whose
+        arithmetic is identical — must run the first iteration: no
+        window may open under the resilience state, or a channel lacks
+        the KV blocks for the batched growth.  The window opens and
+        closes inside this call.
         """
-        if self.pool.has_finished():
-            return None
-        space = self.max_batch_size - self.pool.running_count()
-        # Any arrived waiting request (with batch space) is a boundary
-        # even if admission would end up rejecting it: an admission
-        # *attempt* has observable side effects — the round-robin cursor
-        # advances and greedy placement reads the live channel loads —
-        # so pre-screening admissibility here would diverge from the
-        # per-request path.  Under sustained KV pressure with a starved
-        # arrival this pins the loop to the per-request path (correct,
-        # just not fast) until blocks free up.
-        if space > 0 and self.pool.has_waiting_arrived(self._now):
-            return None
-        batch = self.pool.running()
-        if not batch:
-            return None
         due = None
         if self.resilience is not None:
             due = self.resilience.window_guard(self._now, batch, self.pool)
             if due is None:
                 return None
         state = GroupedScheduleState(batch, self.grouped.prepare(batch))
-        state.collect_fresh(self.latency_tracker)
+        # An arrived waiting request (with batch space) ends the window
+        # even if admission would reject it: an admission *attempt* has
+        # observable side effects (the round-robin cursor advances,
+        # greedy placement reads the live channel loads), so
+        # pre-screening admissibility would diverge from the per-request
+        # path.
+        space = self.max_batch_size - len(batch)
+        allocators = self.allocators
         last: Optional[IterationRecord] = None
         for _ in range(max_steps):
-            if last is not None and self._now >= until:
-                break
-            if due is not None and due(self._now):
-                break
             if state.steps_until_finish() <= 0:
                 break
-            if space > 0 and self.pool.has_waiting_arrived(self._now):
+            if last is not None and (
+                    self._now >= until
+                    or (due is not None and due(self._now))
+                    or (space > 0
+                        and self.pool.has_waiting_arrived(self._now))):
                 break
             need: Dict[int, int] = {}
-            if self.allocators is not None:
-                need = state.block_need(self.allocators)
-                starved = [channel for channel, blocks in need.items()
-                           if self.allocators[channel].free_blocks < blocks]
-                if starved:
+            if allocators is not None:
+                need = state.block_need(allocators)
+                if any(allocators[channel].free_blocks < blocks
+                       for channel, blocks in need.items()):
                     # Not enough KV for the batched growth: the
                     # per-request path owns this iteration, including its
                     # exact mid-generation OOM semantics and their
                     # KvPressure reports.
                     break
             latency, end = self._charge(
-                self.grouped.run(state.plan, state.shift), state.batch)
+                self.grouped.run(state.plan, state.shift), batch)
             for channel, blocks in need.items():
-                self.allocators[channel].bulk_reserve(blocks)
+                allocators[channel].bulk_reserve(blocks)
             state.advance()
-            state.flush_fresh(self.latency_tracker, end)
-            last = self._commit(latency, state.batch_size)
-        self.sync_grouped(state)
+            if last is None and self.latency_tracker is not None:
+                self.latency_tracker.observe_batch(batch, end)
+            last = self._commit(latency, len(batch), admitted, retired)
+            admitted = retired = 0
+        if last is not None:
+            self.sync_grouped(state)
         return last
 
     def run_iteration(self, max_steps: int = 1,
@@ -576,21 +593,16 @@ class IterationScheduler:
                       ) -> Optional[IterationRecord]:
         """Execute one iteration; returns ``None`` when nothing is runnable.
 
-        When the batch is empty but requests are still due to arrive, the
-        scheduler idles forward to the earliest arrival time.  Under
-        grouping, up to ``max_steps`` steady-state iterations may commit
-        in one call (group-commit), each after the first only if it
-        starts before ``until``; the returned record is the last one,
-        and every request, allocator and tracker is up to date on return.
+        Every call first acts on the iteration boundary (resilience,
+        retirement, admission); when the batch is empty but requests are
+        still due to arrive, the scheduler idles forward to the earliest
+        arrival time.  Under grouping the iteration then runs as the
+        first step of a window, and up to ``max_steps`` iterations may
+        commit in the call (group-commit), each after the first only if
+        it starts before ``until`` and no boundary is due; the returned
+        record is the last one, and every request, allocator and tracker
+        is up to date on return.
         """
-        if self.grouped is not None:
-            record = self._grouped_steps(
-                max_steps, math.inf if until is None else until)
-            if record is not None:
-                return record
-            # A boundary is pending (retirement, admission, KV pressure,
-            # resilience) or the batch is empty: fall through to the
-            # per-request path.
         resilience = self.resilience
         if resilience is not None:
             self._resilient_boundary()
@@ -609,6 +621,12 @@ class IterationScheduler:
             batch = self.pool.running()
             if not batch:
                 return None
+        if self.grouped is not None:
+            record = self._grouped_steps(
+                batch, admitted, retired, max_steps,
+                math.inf if until is None else until)
+            if record is not None:
+                return record
         latency, end = self._charge(self.executor(batch), batch)
         if self.latency_tracker is not None:
             observe = self.latency_tracker.observe_running

@@ -42,7 +42,24 @@ def stack_state(session):
     """Everything a caller may read between steps, as plain values."""
     return ([(r.generated, r.status, r.channel) for r in session.arrivals],
             [allocator.used_blocks for allocator in session.allocators],
-            list(session.load_tracker.loads))
+            [sorted(allocator._allocations.items())
+             for allocator in session.allocators],
+            list(session.load_tracker.loads),
+            session.latency_tracker.report().requests)
+
+
+#: Specs whose ``auto`` stack must equal the ``off`` stack after every
+#: step: no pressure, open-loop arrivals, KV starvation, and deadlines
+#: with retries.
+LOCKSTEP_SPECS = {
+    "replay": replay_spec,
+    "poisson": poisson_spec,
+    "tight-kv": lambda grouping: poisson_spec(
+        grouping, kv_capacity_bytes=1 << 22),
+    "deadline-retry": lambda grouping: poisson_spec(
+        grouping, deadline_cycles=8e6, max_retries=1,
+        retry_backoff_cycles=1e6),
+}
 
 
 class TestEventBus:
@@ -285,6 +302,25 @@ class TestRunUntil:
 
         session.run_until(snoop)
         assert observed and max(observed) > 0
+
+    @pytest.mark.parametrize("name", sorted(LOCKSTEP_SPECS))
+    def test_auto_matches_off_after_every_step(self, name):
+        # Each auto step may commit a window of several iterations; the
+        # off twin catches up one iteration at a time, and both stacks
+        # (requests, KV pools and ledgers, channel loads, latency
+        # report) must then be the same.
+        auto = Session(LOCKSTEP_SPECS[name]("auto")).materialize()
+        off = Session(LOCKSTEP_SPECS[name]("off")).materialize()
+        steps = 0
+        while auto.step(max_steps=4) is not None:
+            done = len(auto.scheduler.stats.iterations)
+            while len(off.scheduler.stats.iterations) < done:
+                assert off.step() is not None
+            assert stack_state(auto) == stack_state(off)
+            steps += 1
+        assert off.step() is None
+        assert steps > 1
+        assert auto.result().to_dict() == off.result().to_dict()
 
     def test_run_until_never_caches(self):
         session = Session(poisson_spec("off"))

@@ -40,6 +40,46 @@ class TestCountRegressions:
             "fleet.latency.calls: missing from the run"]
 
 
+class TestShareRegressions:
+    def test_equal_and_higher_shares_pass(self):
+        recorded = {"a.grouping.grouped_share": {"value": 0.75},
+                    "b.grouping.grouped_share": {"value": 0.0}}
+        measured = {"a.grouping.grouped_share": {"value": 1.0},
+                    "b.grouping.grouped_share": {"value": 0.0}}
+        assert gate.share_regressions(recorded, measured) == []
+
+    def test_lower_share_fails(self):
+        recorded = {"a.grouping.grouped_share": {"value": 1.0}}
+        measured = {"a.grouping.grouped_share": {"value": 0.99}}
+        assert gate.share_regressions(recorded, measured) == [
+            "a.grouping.grouped_share: 0.99 < 1.0 recorded"]
+
+    def test_missing_share_fails(self):
+        recorded = {"a.grouping.grouped_share": {"value": 1.0}}
+        assert gate.share_regressions(recorded, {}) == [
+            "a.grouping.grouped_share: missing from the run"]
+
+    def test_counts_and_windows_are_not_shares(self):
+        recorded = {"a.kv.calls": {"value": 5},
+                    "a.grouping.windows": {"value": 5}}
+        measured = {"a.kv.calls": {"value": 1},
+                    "a.grouping.windows": {"value": 1}}
+        assert gate.share_regressions(recorded, measured) == []
+
+    def test_saved_result_with_lower_share_fails(self, tmp_path):
+        recorded = {"w.grouping.grouped_share": {"value": 1.0}}
+        bench = tmp_path / "BENCH_1.json"
+        bench.write_text(json.dumps(
+            {"trace": {"result": {"metrics": recorded}}}))
+        result = tmp_path / "out.txt"
+        args = ["--bench", str(bench), "--result", str(result)]
+        result.write_text(json.dumps({"correct": True, "metrics": recorded}))
+        assert gate.main(args) == 0
+        result.write_text(json.dumps({"correct": True, "metrics": {
+            "w.grouping.grouped_share": {"value": 0.5}}}))
+        assert gate.main(args) == 1
+
+
 class TestIterationMismatches:
     def test_equal_iterations_pass(self):
         measured = {"w.scheduler.iterations": {"value": 7},
@@ -106,3 +146,6 @@ class TestGateEntry:
         counted = [key for key in bench["trace"]["result"]["metrics"]
                    if key.split(".", 1)[1] in gate.COUNTS]
         assert len(counted) == 4 * len(gate.COUNTS)
+        shared = [key for key in bench["trace"]["result"]["metrics"]
+                  if key.split(".", 1)[1] in gate.SHARES]
+        assert len(shared) == 4 * len(gate.SHARES)

@@ -305,3 +305,95 @@ class TestChannelLoadTracker:
         tracker.add(req)
         with pytest.raises(ValueError):
             tracker.add(req)
+
+
+class TestLoadTrackerShift:
+    """A window close shifts every tracked context at once; loads must be
+    bit-equal to a fresh tracker fed the advanced requests."""
+
+    def _tracked(self, est, channels=3):
+        tracker = ChannelLoadTracker(est, channels)
+        requests = [request(i, 40 + 17 * i, channel=i % channels)
+                    for i in range(9)]
+        for req in requests:
+            tracker.add(req)
+        return tracker, requests
+
+    @staticmethod
+    def _fresh_loads(est, requests, channels=3):
+        fresh = ChannelLoadTracker(est, channels)
+        for req in requests:
+            fresh.add(req)
+        return fresh.loads
+
+    @staticmethod
+    def _advance(requests, steps):
+        for req in requests:
+            req.generated += steps
+
+    def test_shift_matches_fresh_tracker(self):
+        est = memoized_estimator(estimator())
+        tracker, requests = self._tracked(est)
+        tracker.loads  # fill the cache: shift must drop it
+        self._advance(requests, 5)
+        tracker.shift(5)
+        assert tracker.loads == self._fresh_loads(est, requests)
+        assert tracker.loads == channel_loads(requests, est, 3)
+        tracker.shift(0)
+        assert tracker.loads == self._fresh_loads(est, requests)
+
+    def test_remove_and_update_after_shift(self):
+        est = estimator()
+        tracker, requests = self._tracked(est)
+        self._advance(requests, 3)
+        tracker.shift(3)
+        tracker.remove(requests[4])
+        requests[0].generated += 1
+        tracker.update(requests[0])
+        tracker.update(requests[1])  # unchanged since the shift: no-op
+        live = requests[:4] + requests[5:]
+        assert len(tracker) == len(live)
+        assert tracker.loads == self._fresh_loads(est, live)
+
+    def test_add_and_sync_member_after_shift(self):
+        est = estimator()
+        tracker, requests = self._tracked(est)
+        self._advance(requests, 2)
+        tracker.shift(2)
+        late = request(20, 77, channel=1)
+        tracker.add(late)
+        tracker.sync_member(requests[2].request_id, 2,
+                            requests[2].seq_len)  # already in sync
+        self._advance(requests + [late], 4)
+        tracker.shift(4)
+        assert tracker.loads == self._fresh_loads(est, requests + [late])
+
+    def test_adoption_after_shift(self):
+        """An untracked running request is adopted at its current
+        seq_len whatever the offset, by update or by sync_member."""
+        est = estimator()
+        tracker, requests = self._tracked(est)
+        self._advance(requests, 6)
+        tracker.shift(6)
+        warm_a = request(30, 90, channel=0)
+        warm_b = request(31, 55, channel=2)
+        tracker.update(warm_a)
+        tracker.sync_member(warm_b.request_id, 2, warm_b.seq_len)
+        everyone = requests + [warm_a, warm_b]
+        assert tracker.loads == self._fresh_loads(est, everyone)
+        self._advance(everyone, 1)
+        tracker.shift(1)
+        assert tracker.loads == self._fresh_loads(est, everyone)
+
+    def test_clear_then_reuse(self):
+        est = estimator()
+        tracker, requests = self._tracked(est)
+        self._advance(requests, 9)
+        tracker.shift(9)
+        tracker.clear()
+        assert tracker.loads == [0.0, 0.0, 0.0]
+        for req in requests:
+            tracker.add(req)
+        assert tracker.loads == self._fresh_loads(est, requests)
+        tracker.remove(requests[0])
+        assert tracker.loads == self._fresh_loads(est, requests[1:])

@@ -207,6 +207,60 @@ class TestGroupCommitWindows:
         assert len(stats.iterations) == 7
 
 
+class TestEveryIterationGroups:
+    """Boundary iterations are a window's first step: every iteration the
+    KV pool can grow goes through the class engine, and only starved ones
+    run per request."""
+
+    @staticmethod
+    def _instrument(session):
+        """Start times of the grouped and the per-request iterations."""
+        session.materialize()
+        scheduler = session.scheduler
+        grouped, per_request = [], []
+        run, executor = scheduler.grouped.run, scheduler.executor
+
+        def grouped_run(plan, shift):
+            grouped.append(scheduler.now)
+            return run(plan, shift)
+
+        def executor_run(batch):
+            per_request.append(scheduler.now)
+            return executor(batch)
+        scheduler.grouped.run = grouped_run
+        scheduler.executor = executor_run
+        return grouped, per_request
+
+    def test_no_pressure_replay_groups_every_iteration(self):
+        session = Session(serving_bench_spec(num_requests=96))
+        grouped, per_request = self._instrument(session)
+        result = session.run()
+        assert len(grouped) == result.iterations > 0
+        assert per_request == []
+        assert result.to_dict() == Session(serving_bench_spec(
+            num_requests=96, grouping="off")).run().to_dict()
+
+    def test_starved_iterations_run_per_request(self):
+        from repro.serving.events import KvPressure
+        spec = ScenarioSpec(
+            layers_resident=2, **FAST,
+            traffic=TrafficSpec.poisson(rate_per_kcycle=0.08,
+                                        horizon_cycles=3e6, seed=2),
+            serving=ServingSpec(max_batch_size=32,
+                                kv_capacity_bytes=1 << 22))
+        session = Session(spec)
+        grouped, per_request = self._instrument(session)
+        pressure = []
+        session.events.subscribe(KvPressure,
+                                 lambda event: pressure.append(event.time))
+        result = session.run()
+        # A starved iteration reports its OOM growth; no other iteration
+        # leaves the class engine.
+        assert per_request and sorted(set(pressure)) == per_request
+        assert not set(per_request) & set(grouped)
+        assert len(grouped) + len(per_request) == result.iterations
+
+
 class TestGroupingPrimitives:
     def _requests(self):
         reqs = []
@@ -245,7 +299,7 @@ class TestGroupingPrimitives:
         assert state.steps_until_finish() == 4
         for _ in range(4):
             state.advance()
-        state.sync(None, None, None, clock_end=0.0)
+        state.sync(None, None)
         assert [r.generated for r in reqs] == [4, 4, 4, 4]
         assert reqs[2].status is RequestStatus.DONE
         assert reqs[0].status is RequestStatus.RUNNING

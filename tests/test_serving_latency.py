@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.api import ServingSpec
 from repro.core.device import NeuPimsDevice
+from repro.faults import (FaultInjector, FaultPlan, RequestAbort,
+                          ResilienceRuntime)
 from repro.model.spec import GPT3_7B
+from repro.serving.grouping import GroupedExecutor
 from repro.serving.latency import (
     LatencyReport,
     LatencyTracker,
@@ -13,7 +17,7 @@ from repro.serving.latency import (
     queueing_delay_curve,
 )
 from repro.serving.pool import RequestPool
-from repro.serving.request import InferenceRequest
+from repro.serving.request import InferenceRequest, RequestStatus
 from repro.serving.scheduler import IterationScheduler
 
 
@@ -249,3 +253,121 @@ class TestSyncClockMonotonicity:
         assert len(report.requests) == 3
         for entry in report.requests:
             assert entry.ttft >= 0.0
+
+
+class TestDepartures:
+    """A running request completes at the tracker clock; its completion
+    is stamped once, when it leaves the batch.
+
+    Every case runs one hand-built scheduler with a constant-latency
+    executor under grouping ``auto`` (a class engine that ignores its
+    plan) and ``off``: the reports must agree, and the completion times
+    are the end of each request's last iteration.
+    """
+
+    STEP = 1000.0
+
+    def _engine(self):
+        return GroupedExecutor(lambda batch: None,
+                               lambda plan, shift: self.STEP)
+
+    def _run(self, grouped, requests, serving=None, plan=None, batch=4,
+             iterations=100):
+        pool = RequestPool()
+        pool.submit_all(requests)
+        tracker = LatencyTracker()
+        runtime = None
+        if serving is not None:
+            runtime = ResilienceRuntime(
+                serving,
+                injector=FaultInjector(plan) if plan is not None else None)
+        scheduler = IterationScheduler(
+            pool, lambda batch: self.STEP, max_batch_size=batch,
+            latency_tracker=tracker, resilience=runtime,
+            grouped=self._engine() if grouped else None)
+        scheduler.run(max_iterations=iterations)
+        return scheduler, tracker
+
+    def _both(self, make_requests, **kwargs):
+        auto = self._run(True, make_requests(), **kwargs)
+        off = self._run(False, make_requests(), **kwargs)
+        assert auto[0].stats.iterations == off[0].stats.iterations
+        assert auto[1].report().requests == off[1].report().requests
+        return auto
+
+    @staticmethod
+    def _completions(tracker):
+        return {r.request_id: r.completion_time
+                for r in tracker.report().requests}
+
+    def test_retire_stamps_last_iteration_end(self):
+        _, tracker = self._both(lambda: [
+            InferenceRequest(i, input_len=8, output_len=2 + 3 * i)
+            for i in range(3)])
+        assert self._completions(tracker) == {0: 2000.0, 1: 5000.0,
+                                              2: 8000.0}
+
+    def test_timeout_and_retry_stamp_each_departure(self):
+        serving = ServingSpec(deadline_cycles=2500.0, max_retries=1,
+                              retry_backoff_cycles=500.0)
+        scheduler, tracker = self._both(
+            lambda: [InferenceRequest(0, input_len=8, output_len=50)],
+            serving=serving)
+        assert scheduler.outcomes == {0: "timed_out"}
+        (entry,) = tracker.report().requests
+        # Runs 0..3000, retried at 3000, re-arrives at 3500 and runs
+        # until its re-based deadline passes: the last iteration ends
+        # at 6500, where the terminal timeout stamps it.
+        assert entry.first_token_time == 1000.0
+        assert entry.completion_time == 6500.0
+
+    def test_retry_stamps_before_the_backoff(self):
+        # Request 0 is retried at the boundary at 3000 and waits out its
+        # backoff while request 1 keeps the clock moving: its completion
+        # stays at the end of the last iteration it ran in.
+        serving = ServingSpec(deadline_cycles=2500.0, max_retries=1,
+                              retry_backoff_cycles=5000.0)
+        scheduler, tracker = self._both(
+            lambda: [InferenceRequest(0, input_len=8, output_len=50),
+                     InferenceRequest(1, input_len=8, output_len=50,
+                                      arrival_time=2000.0)],
+            serving=serving, iterations=4)
+        assert scheduler.pool.get(0).status is RequestStatus.WAITING
+        assert self._completions(tracker) == {0: 3000.0, 1: 4000.0}
+
+    def test_abort_stamps_the_victim(self):
+        plan = FaultPlan(seed=0, faults=(
+            RequestAbort(start=2500.0, duration=0.0, ordinal=0),))
+        scheduler, tracker = self._both(
+            lambda: [InferenceRequest(i, input_len=8, output_len=6)
+                     for i in range(2)],
+            serving=ServingSpec(), plan=plan)
+        assert scheduler.outcomes == {0: "aborted", 1: "completed"}
+        assert self._completions(tracker) == {0: 3000.0, 1: 6000.0}
+
+    def test_shed_request_never_enters_the_report(self):
+        scheduler, tracker = self._both(
+            lambda: [InferenceRequest(0, input_len=8, output_len=10),
+                     InferenceRequest(1, input_len=8, output_len=5)],
+            serving=ServingSpec(shed_wait_cycles=1500.0), batch=1)
+        assert scheduler.outcomes == {0: "completed", 1: "shed"}
+        assert self._completions(tracker) == {0: 10000.0}
+
+    def test_failover_release_stamps_the_clock(self):
+        for grouped in (True, False):
+            request = InferenceRequest(0, input_len=8, output_len=20)
+            scheduler, tracker = self._run(grouped, [request], iterations=3)
+            scheduler.release_request(request)
+            # The clock moves on (another node's traffic, an idle jump);
+            # the released request keeps its completion.
+            tracker.advance_clock(self.STEP)
+            assert self._completions(tracker) == {0: 3000.0}
+
+    def test_truncated_run_reads_the_clock_for_live_requests(self):
+        scheduler, tracker = self._both(
+            lambda: [InferenceRequest(0, input_len=8, output_len=50)],
+            iterations=3)
+        assert self._completions(tracker) == {0: 3000.0}
+        # The memo follows the clock while the request is live.
+        scheduler.run(max_iterations=5)
+        assert self._completions(tracker) == {0: 5000.0}

@@ -18,9 +18,10 @@ from repro.faults import (
 )
 from repro.faults.plan import ChannelStall
 from repro.model.spec import GPT3_7B
-from repro.serving.events import (FaultInjected, RequestRetired,
-                                  RequestRetried, RequestShed,
-                                  RequestTimedOut, WindowCommitted)
+from repro.serving.events import (FaultInjected, IterationCompleted,
+                                  RequestRetired, RequestRetried,
+                                  RequestShed, RequestTimedOut,
+                                  WindowCommitted)
 from repro.serving.grouping import GroupedExecutor
 from repro.serving.paging import PagedKvAllocator, PagedKvConfig
 from repro.serving.pool import RequestPool
@@ -330,8 +331,19 @@ class TestGroupedWindowGuard:
 
     Each case runs the same hand-built scheduler under grouping ``auto``
     and ``off``: the records, outcomes and counters must agree, and the
-    grouped steps' start times show where the windows stopped.
+    grouped steps' start times show where the windows stopped.  A
+    boundary iteration is a window's first step, so a window opens only
+    after its boundary has acted: the boundary's events precede the
+    iteration's ``IterationCompleted``.
     """
+
+    @staticmethod
+    def _acted_before(seen, kind, start):
+        """Whether a ``kind`` event precedes the iteration at ``start``."""
+        order = [e for e in seen if isinstance(e, kind) or (
+            isinstance(e, IterationCompleted)
+            and e.record.start_time == start)]
+        return bool(order) and isinstance(order[0], kind)
 
     def _run(self, grouping, make_requests, serving, plan=None, batch=4,
              iterations=100):
@@ -372,12 +384,12 @@ class TestGroupedWindowGuard:
             assert scheduler.outcomes == {0: "timed_out"}
             (timeout,) = [e for e in seen if isinstance(e, RequestTimedOut)]
             assert timeout.time == 3000.0
-        # After the admitting iteration at 0, one window ran the
+        # One window, opened by the admitting iteration at 0, ran the
         # iterations before the deadline and stopped at the boundary
         # (3000 - 0 > 2500) without committing it.
-        assert auto[3] == [1000.0, 2000.0]
+        assert auto[3] == [0.0, 1000.0, 2000.0]
         windows = [e for e in auto[2] if isinstance(e, WindowCommitted)]
-        assert [w.iterations for w in windows] == [2]
+        assert [w.iterations for w in windows] == [3]
         assert len(auto[0].stats.iterations) == 3
 
     def test_fault_start_inside_window_ends_it_before_the_start(self):
@@ -391,10 +403,13 @@ class TestGroupedWindowGuard:
         (fired,) = [e for e in auto[2] if isinstance(e, FaultInjected)]
         assert fired.time == 3000.0
         # The first window stops before the iteration starting at 3000
-        # (the first boundary at or past the fault's start); the stalled
-        # iteration runs per-request, then grouping resumes.
-        assert auto[3][:2] == [1000.0, 2000.0]
-        assert 3000.0 not in auto[3]
+        # (the first boundary at or past the fault's start).  That
+        # boundary polls the fault, and the stalled iteration opens the
+        # next window.
+        assert auto[3] == [0.0, 1000.0, 2000.0, 3000.0, 4250.0, 5250.0]
+        windows = [e for e in auto[2] if isinstance(e, WindowCommitted)]
+        assert [w.iterations for w in windows] == [3, 3]
+        assert self._acted_before(auto[2], FaultInjected, 3000.0)
         latencies = [r.latency for r in auto[0].stats.iterations]
         assert latencies[3] == LATENCY + 250.0
 
@@ -441,8 +456,12 @@ class TestGroupedWindowGuard:
         for _, _, seen, _ in (auto, off):
             (shed,) = [e for e in seen if isinstance(e, RequestShed)]
             assert shed.time == 2000.0
-        assert auto[3][0] == 1000.0
-        assert 2000.0 not in auto[3]
+        # The window opened at 0 stops before 2000; the shed acts at that
+        # boundary before the next window's first step.
+        assert auto[3][:3] == [0.0, 1000.0, 2000.0]
+        windows = [e for e in auto[2] if isinstance(e, WindowCommitted)]
+        assert windows[0].iterations == 2
+        assert self._acted_before(auto[2], RequestShed, 2000.0)
 
 
 class TestSessionNeutrality:
