@@ -18,14 +18,6 @@ from typing import Dict, List, Optional
 from repro.analysis.sweep import SweepAxis, SweepResult, run_sweep
 from repro.core.config import NeuPimsConfig
 from repro.exec.backends import ParallelSpec
-from repro.model.spec import (GPT3_7B, GPT3_13B, GPT3_30B, GPT3_175B,
-                              ModelSpec)
-
-#: Specs addressable by axis value (axis values stay plain strings so
-#: sweep records print/compare cleanly and pickle small).
-SPECS: Dict[str, ModelSpec] = {
-    spec.name: spec for spec in (GPT3_7B, GPT3_13B, GPT3_30B, GPT3_175B)
-}
 
 
 def ablation_axes(batch_sizes=(64, 256),

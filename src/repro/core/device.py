@@ -28,8 +28,9 @@ Execution composition depends on the feature flags:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.binpack import (ChannelLoadTracker, greedy_min_load_assign,
                                 round_robin_assign)
@@ -37,7 +38,7 @@ from repro.core.config import NeuPimsConfig
 from repro.core.estimator import MhaLatencyEstimator, analytic_latencies
 from repro.perf.cache import Memo
 from repro.perf.calibration import memoized_estimator
-from repro.core.partition import partition_batch
+from repro.core.partition import sub_batch_halves
 from repro.model.layers import ffn_gemms, projection_gemm, qkv_generation_gemm
 from repro.model.spec import ModelSpec
 from repro.npu.chip import NpuChip
@@ -46,15 +47,48 @@ from repro.serving.grouping import (DeviceClassPlan, MhaHistogram,
                                     shift_histogram)
 from repro.serving.request import InferenceRequest
 
-#: A multiple of 1/32 below 2**32 is an integer number of 1/32 units
+#: A multiple of 1/32 in [0, 2**32) is an integer number of 1/32 units
 #: below 2**37, so over at most this many requests every product and
-#: partial sum of such values is an integer below 2**53 units: float
-#: addition of them is exact in any order.
+#: partial sum of such values (or of their differences) is an integer
+#: below 2**53 units: float arithmetic on them is exact in any order.
 _EXACT_BATCH = 2 ** 16
 
 
+#: Softmax periods the affine guard tries; each divides the last.
+_PERIODS = (1, 2, 4, 8, 16)
+#: Seq_lens the guard verifies past the top of the range it is asked for.
+_AFFINE_SPAN = 2 * _PERIODS[-1]
+
+
 def _dyadic(value: float) -> bool:
-    return abs(value) < 2.0 ** 32 and (value * 32.0).is_integer()
+    return 0.0 <= value < 2.0 ** 32 and (value * 32.0).is_integer()
+
+
+def _class_histogram(channels: Sequence[Tuple[int, List[int]]]
+                     ) -> MhaHistogram:
+    """The canonical histogram of ascending ``(channel, seq_lens)``."""
+    hist: List[Tuple[int, int, int]] = []
+    for channel, seq_lens in channels:
+        seq_lens.sort()
+        start = 0
+        while start < len(seq_lens):
+            end = bisect_right(seq_lens, seq_lens[start], start)
+            hist.append((channel, seq_lens[start], end - start))
+            start = end
+    return tuple(hist)
+
+
+def _profile(hist: MhaHistogram):
+    """``(requests per occupied channel, lowest seq_len, highest seq_len,
+    one (seq_len, count) per occupied residue modulo _PERIODS[-1])``."""
+    counts: Dict[int, int] = {}
+    residues: Dict[int, List[int]] = {}
+    for channel, seq_len, count in hist:
+        counts[channel] = counts.get(channel, 0) + count
+        residues.setdefault(seq_len % _PERIODS[-1], [seq_len, 0])[1] += count
+    seq_lens = [seq_len for _, seq_len, _ in hist]
+    return (tuple(counts.values()), min(seq_lens), max(seq_lens),
+            tuple(map(tuple, residues.values())))
 
 
 @dataclass
@@ -190,6 +224,12 @@ class NeuPimsDevice:
         #: Sticky: every class value computed so far is within the
         #: exact-summation bounds (cleared by `_class_contribution`).
         self._exact_sums = True
+        # The affine guard (`_affine`) and the current window's bases
+        # (`_sub_batch_stage`): [plan, [shift, stage, profile] per hist].
+        self._affine_lo, self._affine_hi, self._affine_floor = 1, 0, 1
+        self._affine_steps: Optional[Tuple[float, ...]] = None
+        self._period, self._affine_ok = 1, True
+        self._bases: list = [None]
         # Config-derived MHA constants, hoisted out of the per-request loop.
         overhead = 1.0
         if not self.config.composite_isa:
@@ -248,7 +288,8 @@ class NeuPimsDevice:
         e.g. requests previously placed by a system with a larger pool)."""
         unassigned = []
         for request in requests:
-            if request.channel is None or request.channel >= self.channel_pool:
+            if request.channel is None or \
+                    not 0 <= request.channel < self.channel_pool:
                 request.channel = None
                 unassigned.append(request)
         if unassigned:
@@ -341,21 +382,108 @@ class NeuPimsDevice:
                               pim_busy_cycles=raw_total / self.channel_pool,
                               loads=loads, raw_total=raw_total)
 
-    def _whole_batch_stage(self, batch_size: int, hist1: MhaHistogram,
-                           hist2: MhaHistogram, mha1: MhaStageTiming,
-                           mha2: MhaStageTiming) -> MhaStageTiming:
+    def _whole_batch_stage(self, plan: DeviceClassPlan, shift: int,
+                           mha1: MhaStageTiming, mha2: MhaStageTiming
+                           ) -> MhaStageTiming:
         """Both sub-batches' MHA stage: the sum of theirs, which is the
         canonical pass over the merged histogram bit for bit when the
         ``_exact_sums`` guard holds (read only here, after the sub-batch
-        passes computed every class entry it covers); else that pass."""
-        if not (self._exact_sums and batch_size <= _EXACT_BATCH):
-            return self.mha_stage_classes(merge_histograms(hist1, hist2))
+        stages computed every class entry it covers); else that pass."""
+        if not (self._exact_sums and plan.batch_size <= _EXACT_BATCH):
+            (_, hist1), (_, hist2) = plan.split
+            return self.mha_stage_classes(
+                shift_histogram(merge_histograms(hist1, hist2), shift))
         loads = dict(mha1.loads)
         for channel, load in mha2.loads.items():
             loads[channel] = loads.get(channel, 0.0) + load
         return self._stage(loads, mha1.raw_total + mha2.raw_total,
                            mha1.softmax_cycles + mha2.softmax_cycles,
                            mha1.internal_bytes + mha2.internal_bytes)
+
+    def _sub_batch_stage(self, plan: DeviceClassPlan, index: int,
+                         hist: MhaHistogram, shift: int) -> MhaStageTiming:
+        """The MHA stage of the plan's ``index``-th histogram after
+        ``shift`` steps: closed-form from the window's basis (a canonical
+        pass at an earlier shift) where `_affine` vouches for every
+        seq_len involved, else a canonical pass that becomes the basis
+        (DESIGN.md §5)."""
+        bases = self._bases
+        if bases[0] is not plan:
+            bases = self._bases = [plan, None, None]
+        basis = bases[index + 1]
+        if basis is not None and self.counter_model is None \
+                and plan.batch_size <= _EXACT_BATCH:
+            if basis[2] is None:
+                basis[2] = _profile(hist)
+            start, stage, (counts, low, high, residues) = basis
+            if start <= shift and self._affine(low + start, high + shift):
+                contrib = self._class_contrib
+                then, now = contrib[low + start], contrib[low + shift]
+                load, size = now[1] - then[1], sum(counts)
+                softmax = stage.softmax_cycles
+                for seq_len, count in residues:
+                    softmax += count * (contrib[seq_len + shift][2]
+                                        - contrib[seq_len + start][2])
+                return self._stage(
+                    {channel: base + load * count for (channel, base), count
+                     in zip(stage.loads.items(), counts)},
+                    stage.raw_total + (now[0] - then[0]) * size, softmax,
+                    stage.internal_bytes + (now[3] - then[3]) * size)
+        stage = self.mha_stage_classes(shift_histogram(hist, shift))
+        bases[index + 1] = [shift, stage, basis and basis[2]]
+        return stage
+
+    def _affine(self, low: int, high: int) -> bool:
+        """Whether the class values over seq_lens ``[low, high]`` are
+        exact and step by ``_affine_steps`` per token (softmax: per
+        ``_period`` tokens), verified lazily: the first call seeds them
+        at ``high``, later ones grow the verified range.  A failure below
+        the range fixes a floor; above it, it turns the guard off."""
+        if self._affine_lo <= low and high <= self._affine_hi:
+            return True
+        if not (self._affine_ok and self._exact_sums) \
+                or low < self._affine_floor:
+            return False
+        if self._affine_steps is None and not self._seed(high):
+            self._affine_floor = high + 1
+            return False
+        if high > self._affine_hi:
+            top = high + _AFFINE_SPAN
+            self._affine_ok = all(map(self._fits,
+                                      range(self._affine_hi + 1, top + 1)))
+            if not self._affine_ok:
+                return False
+            self._affine_hi = top
+        while self._affine_lo > low:
+            if not self._fits(self._affine_lo - 1):
+                self._affine_floor = self._affine_lo
+                return False
+            self._affine_lo -= 1
+        return True
+
+    def _seed(self, seq_len: int) -> bool:
+        """Steps at ``seq_len``, verified on ``_AFFINE_SPAN`` more."""
+        top = seq_len + _AFFINE_SPAN
+        for period in _PERIODS:
+            self._period = period
+            self._affine_steps = self._steps(seq_len)
+            if all(map(self._fits, range(seq_len, top + 1))):
+                self._affine_lo, self._affine_hi = seq_len, top
+                return True
+        self._affine_steps = None
+        return False
+
+    def _steps(self, seq_len: int) -> Tuple[float, ...]:
+        """How each class value steps from ``seq_len`` to the next seq_len
+        (softmax: to ``seq_len + _period``)."""
+        contrib = self._class_contrib
+        here, after = contrib[seq_len], contrib[seq_len + 1]
+        return (after[0] - here[0], after[1] - here[1],
+                contrib[seq_len + self._period][2] - here[2],
+                after[3] - here[3])
+
+    def _fits(self, seq_len: int) -> bool:
+        return self._steps(seq_len) == self._affine_steps and self._exact_sums
 
     # ------------------------------------------------------------------
     # Iteration execution.
@@ -370,20 +498,29 @@ class NeuPimsDevice:
         sub-batch interleaving splits the batch, else the full class
         histogram.  Between boundaries the plan is reused with a uniform
         seq_len shift (the batch membership and channel placement are
-        fixed, so the split is translation-invariant).
+        fixed, so the split is translation-invariant).  One pass buckets
+        the seq_lens by channel, in canonical order.
         """
         if not requests:
             raise ValueError("empty batch")
         self._ensure_assigned(requests)
-        if self.config.sub_batch_interleaving and len(requests) >= 2:
-            sb1, sb2 = partition_batch(requests, self.channel_pool)
-            if sb1 and sb2:
-                return DeviceClassPlan(
-                    batch_size=len(requests), hist=None,
-                    split=((len(sb1), mha_histogram(sb1)),
-                           (len(sb2), mha_histogram(sb2))))
-        return DeviceClassPlan(batch_size=len(requests),
-                               hist=mha_histogram(requests))
+        buckets: List[List[int]] = [[] for _ in range(self.channel_pool)]
+        for request in requests:
+            buckets[request.channel].append(request.input_len
+                                            + request.generated)
+        channels = list(enumerate(buckets))
+        size = len(requests)
+        if self.config.sub_batch_interleaving and size >= 2:
+            halves = sub_batch_halves(len(lens) for _, lens in channels)
+            size1 = sum(halves)
+            if 0 < size1 < size:
+                pairs = list(zip(channels, halves))
+                return DeviceClassPlan(size, None, (
+                    (size1, _class_histogram(
+                        [(c, lens[:half]) for (c, lens), half in pairs])),
+                    (size - size1, _class_histogram(
+                        [(c, lens[half:]) for (c, lens), half in pairs]))))
+        return DeviceClassPlan(size, _class_histogram(channels))
 
     def iteration(self, requests: Sequence[InferenceRequest]) -> IterationResult:
         """Execute one generation iteration over the batch.
@@ -402,50 +539,40 @@ class NeuPimsDevice:
 
     def iteration_from_plan(self, plan: DeviceClassPlan,
                             shift: int = 0) -> IterationResult:
-        """One iteration of a planned batch after ``shift`` decode steps.
+        """One iteration of a planned batch after ``shift`` decode steps,
+        memoized by ``(plan, shift)``: the result is a pure function of
+        the plan's histograms and the shift under this device's fixed
+        configuration, so a recurring plan replays it exactly."""
+        return self._iteration_memo[(plan, shift)]
 
-        Results are memoized by the shifted class signature (the
-        iteration replay cache): when a signature recurs the memoized
-        :class:`IterationResult` is returned as-is, which is exact
-        because the result is a pure function of the signature under this
-        device's fixed configuration.
-        """
+    def _iteration(self, key: Tuple[DeviceClassPlan, int]) -> IterationResult:
+        """The iteration result of a ``(plan, shift)`` key, with its
+        counter vector when counters are on."""
+        plan, shift = key
         if plan.split is None:
-            return self._iteration_memo[(
-                plan.batch_size, shift_histogram(plan.hist, shift))]
-        (size1, hist1), (size2, hist2) = plan.split
-        return self._iteration_memo[(
-            plan.batch_size, (size1, shift_histogram(hist1, shift)),
-            (size2, shift_histogram(hist2, shift)))]
-
-    def _iteration(self, signature: Tuple) -> IterationResult:
-        """The iteration result of a ``(batch_size, hist)`` or
-        ``(batch_size, sub1, sub2)`` plan signature, with its counter
-        vector when counters are on."""
-        if len(signature) == 2:
-            batch_size, hist = signature
-            result = self._serialized(batch_size,
-                                      self.mha_stage_classes(hist))
+            hist = plan.hist
+            result = self._serialized(
+                plan.batch_size, self._sub_batch_stage(plan, 0, hist, shift))
         else:
-            batch_size, (size1, hist1), (size2, hist2) = signature
+            (size1, hist1), (size2, hist2) = plan.split
             gemm1 = self.gemm_stage_cycles(size1)
-            mha1 = self.mha_stage_classes(hist1)
+            mha1 = self._sub_batch_stage(plan, 0, hist1, shift)
             gemm2 = self.gemm_stage_cycles(size2)
-            mha2 = self.mha_stage_classes(hist2)
+            mha2 = self._sub_batch_stage(plan, 1, hist2, shift)
             result = self._interleaved(gemm1, mha1, gemm2, mha2)
             if self.config.adaptive_sbi:
-                whole = self._whole_batch_stage(batch_size, hist1, hist2,
-                                                mha1, mha2)
-                serialized = self._serialized(batch_size, whole)
+                whole = self._whole_batch_stage(plan, shift, mha1, mha2)
+                serialized = self._serialized(plan.batch_size, whole)
                 if serialized.latency < result.latency:
                     result = serialized
         if self.counter_model is not None:
             # Every result here is a fresh object, so the counter vector
             # is set in place and enters the memo with the timing.
-            if len(signature) == 3:
+            if plan.split is not None:
                 hist = merge_histograms(hist1, hist2)
             result.counters = self.counter_model.iteration_counters(
-                hist, result.latency, result.busy.get("npu", 0.0))
+                shift_histogram(hist, shift), result.latency,
+                result.busy.get("npu", 0.0))
         return result
 
     def _serialized(self, batch_tokens: int,

@@ -12,7 +12,7 @@ holds an odd count (the ``turn`` flip).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.serving.request import InferenceRequest
 
@@ -31,24 +31,28 @@ def group_by_channel(requests: Sequence[InferenceRequest],
     return buckets
 
 
-def partition_sub_batches(
-    requests_per_channel: Sequence[Sequence[InferenceRequest]],
-) -> Tuple[List[InferenceRequest], List[InferenceRequest]]:
-    """Algorithm 3: split each channel's requests into two sub-batches.
-
-    Each channel contributes half of its requests to each sub-batch; odd
-    remainders alternate between the sub-batches via the ``turn`` toggle
-    so neither accumulates all the spare requests.
-    """
+def sub_batch_halves(sizes: Iterable[int]) -> List[int]:
+    """How many of each channel's ``size`` requests Algorithm 3 puts in
+    the first sub-batch: half, odd spares alternating via ``turn``."""
     turn = True
-    sb1: List[InferenceRequest] = []
-    sb2: List[InferenceRequest] = []
-    for channel_requests in requests_per_channel:
-        size = len(channel_requests)
+    halves: List[int] = []
+    for size in sizes:
         half = size // 2
         if size % 2:
             half += turn
             turn = not turn
+        halves.append(half)
+    return halves
+
+
+def partition_sub_batches(
+    requests_per_channel: Sequence[Sequence[InferenceRequest]],
+) -> Tuple[List[InferenceRequest], List[InferenceRequest]]:
+    """Algorithm 3: split each channel's requests into two sub-batches."""
+    sb1: List[InferenceRequest] = []
+    sb2: List[InferenceRequest] = []
+    halves = sub_batch_halves(map(len, requests_per_channel))
+    for channel_requests, half in zip(requests_per_channel, halves):
         sb1.extend(channel_requests[:half])
         sb2.extend(channel_requests[half:])
     return sb1, sb2

@@ -1,47 +1,35 @@
 """Equivalence-class decomposition of decode batches (group-commit engine).
 
-A continuously-batched decode workload collapses into a handful of
-request equivalence classes: requests that share ``(channel, seq_len,
-remaining_decode)`` are indistinguishable to the iteration latency model
-(MHA cost and KV traffic depend on ``seq_len`` and channel placement
-only), advance in lockstep (every running request generates one token
-per iteration) and finish together (same ``remaining_decode``).  This
-module captures that decomposition so the serving stack can do per-class
-work instead of per-request work:
+Running requests that share ``(channel, seq_len, remaining_decode)`` are
+indistinguishable to the iteration latency model (MHA cost and KV
+traffic depend on ``seq_len`` and channel placement only), advance in
+lockstep (one token per iteration) and finish together.  This module
+lets the serving stack do per-class work instead of per-request work:
 
 * :func:`class_histogram` / :func:`mha_histogram` build the canonical
-  sorted ``(channel, seq_len[, remaining]) -> multiplicity`` views that
+  sorted views that
   :meth:`repro.core.device.NeuPimsDevice.mha_stage_classes` consumes.
-  **Both** the per-request path and the grouped path compute iteration
-  latencies from these histograms, which is what makes the two paths
-  bit-identical by construction (same sums in the same canonical order).
+  **Both** serving paths compute iteration latencies from these
+  histograms, so they are bit-identical by construction (same sums in
+  the same canonical order).
 * :class:`DeviceClassPlan` / :class:`SystemClassPlan` freeze a batch's
-  class structure — full histogram or Algorithm-3 sub-batch split, pipeline
-  micro-batch — at a *batch boundary*.  Between boundaries the structure
-  is translation-invariant: advancing the whole batch by one token shifts
-  every ``seq_len`` uniformly (:func:`shift_histogram`), so the plan is
-  reused with an arithmetic shift instead of being rebuilt (the
-  iteration-level analog of ``MemoryController.drain_fast``'s
-  translation-invariant replay).
+  class structure at a *batch boundary*.  Between boundaries advancing
+  the batch shifts every ``seq_len`` uniformly (:func:`shift_histogram`),
+  so the plan is reused with an arithmetic shift (the iteration-level
+  analog of ``MemoryController.drain_fast``'s replay).
 * :class:`GroupedScheduleState` is the scheduler-side window state: the
-  class groups with their member lists, the current shift, and the
-  synchronization that writes the deferred per-request effects (token
-  counts, paged-KV allocations that changed, the channel-load shift)
-  back when the window closes.  A window lives inside one
-  ``IterationScheduler.run_iteration`` call and closes before it
-  returns.
+  classes with their members, the current shift, and the write-back of
+  the deferred per-request effects when the window closes, inside the
+  ``IterationScheduler.run_iteration`` call that opened it.
 
 A *boundary* is any event that breaks translation invariance: a class
 reaching ``remaining == 0``, a waiting request becoming admissible, or a
 resilience boundary coming due.  The window closes before such an
-iteration; the next ``run_iteration`` call acts on the boundary
-(retirement, admission, faults) and then runs that iteration as the
-first step of a fresh window, so every unstarved iteration goes through
-the class engine.  Only a channel without enough free KV blocks for the
-batched growth, or a resilience state in which no window may open,
-hands an iteration to the per-request path — which, because the
-arithmetic is shared, produces exactly the record the grouped path
-would have.
+iteration; the next call acts on the boundary and runs that iteration as
+the first step of a fresh window.  Only a channel short of KV blocks for
+the batched growth, or a resilience state in which no window may open,
+hands an iteration to the per-request path — which, the arithmetic being
+shared, produces exactly the record the grouped path would have.
 """
 
 from __future__ import annotations
@@ -66,38 +54,38 @@ MhaHistogram = Tuple[Tuple[int, int, int], ...]
 ClassKey = Tuple[int, int, int]
 
 
-def request_class_key(request: InferenceRequest) -> ClassKey:
-    """The request's equivalence class ``(channel, seq_len, remaining)``."""
-    channel = request.channel if request.channel is not None else 0
-    return (channel, request.seq_len,
-            request.output_len - request.generated)
+def class_groups(requests: Sequence[InferenceRequest]
+                 ) -> Dict[ClassKey, List[InferenceRequest]]:
+    """The members of every ``(channel, seq_len, remaining)`` class (an
+    unassigned request counts as channel 0), in one pass."""
+    classes: Dict[ClassKey, List[InferenceRequest]] = {}
+    for request in requests:
+        channel = request.channel
+        generated = request.generated
+        key = (0 if channel is None else channel,
+               request.input_len + generated, request.output_len - generated)
+        members = classes.get(key)
+        if members is None:
+            classes[key] = [request]
+        else:
+            members.append(request)
+    return classes
 
 
 def mha_histogram(requests: Sequence[InferenceRequest]) -> MhaHistogram:
-    """Canonical ``(channel, seq_len) -> count`` histogram of a batch.
-
-    The tuple is sorted by ``(channel, seq_len)``; every latency
-    computation that consumes it accumulates in this order, so any two
-    batches with equal histograms produce bit-identical timings however
-    the histogram was obtained (per-request scan or incremental classes).
-    """
-    counts: Dict[Tuple[int, int], int] = {}
-    for request in requests:
-        channel = request.channel if request.channel is not None else 0
-        key = (channel, request.seq_len)
-        counts[key] = counts.get(key, 0) + 1
-    return tuple((channel, seq_len, count)
-                 for (channel, seq_len), count in sorted(counts.items()))
+    """Canonical ``(channel, seq_len) -> count`` histogram of a batch,
+    sorted by ``(channel, seq_len)``: every latency computation sums in
+    this order, so equal histograms give bit-identical timings however
+    they were obtained (per-request scan or incremental classes)."""
+    return merge_histograms(tuple((request.channel or 0, request.seq_len, 1)
+                                  for request in requests), ())
 
 
 def class_histogram(requests: Sequence[InferenceRequest]
                     ) -> Dict[ClassKey, int]:
     """Multiplicity of every ``(channel, seq_len, remaining)`` class."""
-    counts: Dict[ClassKey, int] = {}
-    for request in requests:
-        key = request_class_key(request)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return {key: len(members)
+            for key, members in class_groups(requests).items()}
 
 
 def shift_histogram(hist: MhaHistogram, shift: int) -> MhaHistogram:
@@ -134,6 +122,7 @@ class DeviceClassPlan:
     derives the view for any later iteration of the same window.  A
     split plan carries only the two sub-batch histograms: the full one
     is their :func:`merge_histograms`, built only where it is read.
+    The hash is computed once: the device memoizes by ``(plan, shift)``.
     """
 
     batch_size: int
@@ -142,6 +131,13 @@ class DeviceClassPlan:
     #: Algorithm-3 split into two non-empty ``(size, histogram)``
     #: sub-batches (``None`` when SBI does not split the batch).
     split: Optional[Tuple[Tuple[int, MhaHistogram], ...]] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(
+            (self.batch_size, self.split if self.hist is None else self.hist)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -155,12 +151,10 @@ class SystemClassPlan:
 class GroupedExecutor:
     """Pairs a plan builder with a plan runner for the scheduler.
 
-    ``prepare(batch)`` freezes the class structure of an id-ordered
-    running batch (assigning channels to any unplaced request, exactly as
-    the per-request path would); ``run(plan, shift)`` returns the
-    iteration latency for the batch after ``shift`` uniform decode steps.
-    The session wraps ``run`` so busy-time/byte accounting accumulates
-    identically to the per-request executor.
+    ``prepare(batch)`` freezes an id-ordered running batch's class
+    structure (placing unplaced requests as the per-request path would);
+    ``run(plan, shift)`` returns the iteration latency after ``shift``
+    uniform decode steps, with the per-request executor's accounting.
     """
 
     def __init__(self, prepare: Callable[[Sequence[InferenceRequest]], Any],
@@ -173,16 +167,6 @@ class GroupedExecutor:
 # Scheduler-side live state.
 # ----------------------------------------------------------------------
 
-@dataclass
-class _ClassGroup:
-    """One equivalence class and its members (id-ordered)."""
-
-    channel: int
-    seq_len: int     #: at shift 0
-    remaining: int   #: at shift 0
-    members: List[InferenceRequest]
-
-
 class GroupedScheduleState:
     """Class decomposition of the running batch for one window.
 
@@ -191,27 +175,35 @@ class GroupedScheduleState:
     every deferred effect back in one pass when the window closes —
     generated-token counts, ``DONE`` transitions (which fire the pool's
     status observers), paged KV allocation bookkeeping and channel-load
-    tracker contributions.
+    tracker contributions.  Opening costs one pass over the batch and,
+    with ``allocators``, one over its classes (the block schedule).
     """
 
-    def __init__(self, batch: Sequence[InferenceRequest], plan: Any) -> None:
+    def __init__(self, batch: Sequence[InferenceRequest], plan: Any,
+                 allocators: Optional[Sequence["PagedKvAllocator"]] = None
+                 ) -> None:
         self.batch = list(batch)
         self.plan = plan
         self.shift = 0
-        groups: Dict[ClassKey, _ClassGroup] = {}
-        for request in self.batch:
-            key = request_class_key(request)
-            group = groups.get(key)
-            if group is None:
-                groups[key] = _ClassGroup(key[0], key[1], key[2], [request])
-            else:
-                group.members.append(request)
-        self._groups = [groups[key] for key in sorted(groups)]
-        self._min_remaining = min(g.remaining for g in self._groups)
-        #: lazily built block-crossing schedule (see :meth:`block_need`)
-        self._block_plan: Optional[Dict[Tuple[int, int],
-                                        List[Tuple[int, int]]]] = None
-        self._block_sizes: List[int] = []
+        self._classes = classes = class_groups(self.batch)
+        # (block_tokens, shift residue) -> {channel: new blocks}: a class
+        # adds one block per member on the steps where its context sits
+        # on a block boundary.
+        crossings: Dict[Tuple[int, int], Dict[int, int]] = {}
+        if allocators is not None:
+            sizes = [allocator.config.block_tokens
+                     for allocator in allocators]
+            for (channel, seq_len, _), members in classes.items():
+                block_tokens = sizes[channel]
+                key = (block_tokens, -seq_len % block_tokens)
+                need = crossings.get(key)
+                if need is None:
+                    crossings[key] = {channel: len(members)}
+                else:
+                    need[channel] = need.get(channel, 0) + len(members)
+        self._min_remaining = min(remaining for _, _, remaining in classes)
+        self._crossings = crossings
+        self._block_sizes = sorted({size for size, _ in crossings})
 
     # -- structure ------------------------------------------------------
 
@@ -225,36 +217,18 @@ class GroupedScheduleState:
 
     # -- paged-KV batched growth ----------------------------------------
 
-    def block_need(self, allocators: Sequence["PagedKvAllocator"]
-                   ) -> Dict[int, int]:
-        """New KV blocks per channel for the *next* uniform step.
-
-        Growing a context from ``s`` to ``s + 1`` tokens adds exactly one
-        block iff ``s`` is a block-size multiple (``ceil`` difference), so
-        a class only contributes on its block-crossing steps — those with
-        ``shift = -seq_len (mod block_tokens)``.  The crossing schedule
-        is precomputed per class, making the per-step check O(1) on
-        non-crossing steps.
-        """
-        if self._block_plan is None:
-            plan: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-            sizes = set()
-            for group in self._groups:
-                block_tokens = \
-                    allocators[group.channel].config.block_tokens
-                sizes.add(block_tokens)
-                residue = (-group.seq_len) % block_tokens
-                plan.setdefault((block_tokens, residue), []).append(
-                    (group.channel, len(group.members)))
-            self._block_plan = plan
-            self._block_sizes = sorted(sizes)
+    def block_need(self) -> Dict[int, int]:
+        """New KV blocks per channel for the *next* uniform step: a
+        context growing from ``s`` to ``s + 1`` tokens adds one block iff
+        ``s`` is a block-size multiple, so a class adds blocks only on
+        steps with ``shift = -seq_len (mod block_tokens)``."""
+        shift = self.shift
         need: Dict[int, int] = {}
-        for block_tokens in self._block_sizes:
-            crossing = self._block_plan.get(
-                (block_tokens, self.shift % block_tokens))
+        for size in self._block_sizes:
+            crossing = self._crossings.get((size, shift % size))
             if crossing:
-                for channel, count in crossing:
-                    need[channel] = need.get(channel, 0) + count
+                for channel, blocks in crossing.items():
+                    need[channel] = need.get(channel, 0) + blocks
         return need
 
     # -- window close ---------------------------------------------------
@@ -280,19 +254,17 @@ class GroupedScheduleState:
         shift = self.shift
         if not shift:
             return
-        for group in self._groups:
-            seq_len = group.seq_len + shift
-            members = group.members
+        for (channel, seq_len, remaining), members in self._classes.items():
             for request in members:
                 request.generated += shift
             if allocators is not None:
-                allocator = allocators[group.channel]
+                allocator = allocators[channel]
                 block_tokens = allocator.config.block_tokens
-                blocks = -(-seq_len // block_tokens)
-                if blocks != -(-group.seq_len // block_tokens):
+                blocks = -(-(seq_len + shift) // block_tokens)
+                if blocks != -(-seq_len // block_tokens):
                     for request in members:
                         allocator.set_allocation(request.request_id, blocks)
-            if group.remaining == shift:
+            if remaining == shift:
                 for request in members:
                     # Fires the pool's status observer (bucket move).
                     request.status = RequestStatus.DONE
@@ -300,8 +272,7 @@ class GroupedScheduleState:
             if len(load_tracker) == len(self.batch):
                 load_tracker.shift(shift)
             else:
-                for group in self._groups:
-                    seq_len = group.seq_len + shift
-                    for request in group.members:
+                for (channel, seq_len, _), members in self._classes.items():
+                    for request in members:
                         load_tracker.sync_member(request.request_id,
-                                                 group.channel, seq_len)
+                                                 channel, seq_len + shift)

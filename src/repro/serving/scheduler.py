@@ -546,7 +546,9 @@ class IterationScheduler:
             due = self.resilience.window_guard(self._now, batch, self.pool)
             if due is None:
                 return None
-        state = GroupedScheduleState(batch, self.grouped.prepare(batch))
+        allocators = self.allocators
+        state = GroupedScheduleState(batch, self.grouped.prepare(batch),
+                                     allocators)
         # An arrived waiting request (with batch space) ends the window
         # even if admission would reject it: an admission *attempt* has
         # observable side effects (the round-robin cursor advances,
@@ -554,7 +556,6 @@ class IterationScheduler:
         # pre-screening admissibility would diverge from the per-request
         # path.
         space = self.max_batch_size - len(batch)
-        allocators = self.allocators
         last: Optional[IterationRecord] = None
         for _ in range(max_steps):
             if state.steps_until_finish() <= 0:
@@ -567,7 +568,7 @@ class IterationScheduler:
                 break
             need: Dict[int, int] = {}
             if allocators is not None:
-                need = state.block_need(allocators)
+                need = state.block_need()
                 if any(allocators[channel].free_blocks < blocks
                        for channel, blocks in need.items()):
                     # Not enough KV for the batched growth: the

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.config import NeuPimsConfig
 from repro.core.estimator import MhaLatencyEstimator, analytic_latencies
@@ -10,6 +11,11 @@ from repro.dram.timing import HbmOrganization, PimTiming, TimingParams
 from repro.model.spec import GPT3_7B, GPT3_13B, GPT3_30B
 from repro.serving.request import InferenceRequest, RequestStatus
 from repro.serving.trace import SHAREGPT, warmed_batch
+
+#: A larger example budget for CI's differential runs:
+#: ``pytest --hypothesis-profile=ci`` (tests pinning their own
+#: ``max_examples`` keep it).
+settings.register_profile("ci", max_examples=500, deadline=None)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Unit tests for the NeuPIMs device model."""
 
 import pickle
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,9 @@ from repro.api import ScenarioSpec, ServingSpec, Session, TrafficSpec
 from repro.core.config import NeuPimsConfig
 from repro.core.device import (NeuPimsDevice, interleave_timeline,
                                shard_for_mha)
-from repro.model.spec import GPT3_7B
+from repro.core.estimator import MhaLatencyEstimator, analytic_latencies
+from repro.core.partition import partition_batch
+from repro.model.spec import GPT3_7B, MODEL_REGISTRY
 from repro.perf import Memo
 from repro.serving.grouping import merge_histograms, mha_histogram
 from repro.serving.trace import SHAREGPT, warmed_batch
@@ -239,6 +242,20 @@ class TestMemos:
         assert result.latency == device_with().iteration(
             batch(48, seed=1)).latency
 
+    def test_replayed_window_adds_no_misses(self):
+        """Iterations are memoized by (plan, shift): an equal plan from a
+        recurring batch hits every step of the earlier window."""
+        device = device_with()
+        plan = device.prepare_class_plan(batch(48))
+        for shift in range(12):
+            device.iteration_from_plan(plan, shift)
+        misses = device._iteration_memo.misses
+        replay = device.prepare_class_plan(batch(48))
+        assert replay is not plan and replay == plan
+        for shift in range(12):
+            device.iteration_from_plan(replay, shift)
+        assert device._iteration_memo.misses == misses
+
 
 def reference_timeline(layers, first, second):
     """Algorithm-3 list scheduling onto `Resource`s, step by step: the
@@ -336,6 +353,138 @@ class TestWholeBatchStage:
         # merged histogram where the composed stage was refused.
         whole = config.adaptive_sbi and not device._exact_sums
         assert passes == [hist1, hist2] + ([merged] if whole else [])
+
+
+def advanced(requests, shift):
+    """Copies of ``requests`` after ``shift`` more decode steps."""
+    return [make_request(r.request_id, input_len=r.input_len,
+                         output_len=r.output_len,
+                         generated=r.generated + shift, channel=r.channel)
+            for r in requests]
+
+
+def counted_passes(device):
+    """Route the device's canonical MHA passes through a call log."""
+    passes = []
+    stage = device.mha_stage_classes
+    device.mha_stage_classes = lambda hist: passes.append(hist) or \
+        stage(hist)
+    return passes
+
+
+@dataclass(frozen=True)
+class KinkedEstimator(MhaLatencyEstimator):
+    """Algorithm 1 plus a dyadic extra slope from seq_len ``kink`` on."""
+
+    kink: int = 300
+
+    def estimate(self, seq_len: int) -> float:
+        return super().estimate(seq_len) + 8.0 * max(0, seq_len - self.kink)
+
+
+CONFIGS = [
+    NeuPimsConfig(),
+    NeuPimsConfig(dual_row_buffer=False),
+    NeuPimsConfig(composite_isa=False),
+    NeuPimsConfig(sub_batch_interleaving=False),
+    NeuPimsConfig(adaptive_sbi=False),
+]
+
+# Some contexts fall below every model's affine threshold (seq_len 6-16).
+_input_len = st.one_of(st.integers(1, 20), st.integers(1, 600))
+# Unplaced (None) and invalid (-1) channels are placed by the device.
+_channel = st.one_of(st.sampled_from([None, -1]), st.integers(0, 31))
+_requests = st.lists(st.tuples(_input_len, _channel), min_size=1,
+                     max_size=64)
+
+
+class TestClosedFormSteps:
+    """A window's steps after its basis are closed-form in the shift;
+    each must equal a canonical iteration of the advanced batch."""
+
+    @settings(deadline=None)
+    @given(model=st.sampled_from(sorted(MODEL_REGISTRY)),
+           config=st.sampled_from(CONFIGS), requests=_requests,
+           shifts=st.lists(st.integers(0, 40), min_size=1, max_size=41,
+                           unique=True))
+    def test_matches_fresh_device(self, model, config, requests, shifts):
+        spec = MODEL_REGISTRY[model]
+        device = NeuPimsDevice(spec, config, layers_resident=2)
+        reference = NeuPimsDevice(spec, config, layers_resident=2)
+        reqs = [make_request(i, input_len=input_len, output_len=64,
+                             channel=channel)
+                for i, (input_len, channel) in enumerate(requests)]
+        plan = device.prepare_class_plan(reqs)
+        assert all(0 <= r.channel < device.channel_pool for r in reqs)
+        # The one-pass plan is Algorithm 3 over per-request lists.
+        sb1, sb2 = partition_batch(reqs, device.channel_pool)
+        if config.sub_batch_interleaving and sb1 and sb2:
+            assert plan.split == ((len(sb1), mha_histogram(sb1)),
+                                  (len(sb2), mha_histogram(sb2)))
+        else:
+            assert plan.hist == mha_histogram(reqs)
+        for shift in [0] + shifts:
+            assert device.iteration_from_plan(plan, shift) == \
+                reference.iteration(advanced(reqs, shift))
+
+    @pytest.mark.parametrize("model", sorted(MODEL_REGISTRY))
+    def test_guard_accepts_every_default_model(self, model):
+        """The fast path is live: after the basis no step runs a
+        canonical pass, and the guard found the softmax period."""
+        device = NeuPimsDevice(MODEL_REGISTRY[model], layers_resident=2)
+        reqs = batch(64)
+        plan = device.prepare_class_plan(reqs)
+        passes = counted_passes(device)
+        for shift in range(41):
+            device.iteration_from_plan(plan, shift)
+        assert len(passes) == 2  # the two sub-batch bases at shift 0
+        assert device._affine_ok and device._affine_steps is not None
+        assert device._period in (2, 4, 16)
+        assert device._affine_floor <= 16
+
+    def test_classes_below_the_threshold_rebase(self):
+        """A sub-batch holding a context below the verified range runs
+        canonical passes until every class is inside it, then steps from
+        that pass in closed form."""
+        device = device_with(NeuPimsConfig(sub_batch_interleaving=False))
+        reqs = [make_request(0, input_len=3, channel=0),
+                make_request(1, input_len=200, channel=1)]
+        plan = device.prepare_class_plan(reqs)
+        passes = counted_passes(device)
+        reference = device_with(NeuPimsConfig(sub_batch_interleaving=False))
+        for shift in range(30):
+            assert device.iteration_from_plan(plan, shift) == \
+                reference.iteration(advanced(reqs, shift))
+        floor = device._affine_floor
+        assert 3 < floor <= 16
+        # The basis, then a canonical pass per step until 3 + shift
+        # reaches the floor; closed form from the first pass inside.
+        assert len(passes) == floor - 3 + 1
+
+    def test_guard_refuses_a_slope_change(self):
+        """A window that grows past the kink must not extrapolate the
+        slope measured below it: the guard turns off, for good."""
+        estimator = KinkedEstimator(
+            spec=GPT3_7B, org=NeuPimsConfig().org,
+            latencies=analytic_latencies())
+        device = NeuPimsDevice(GPT3_7B, layers_resident=2,
+                               estimator=estimator)
+        reference = NeuPimsDevice(GPT3_7B, layers_resident=2,
+                                  estimator=estimator)
+        below = [make_request(i, input_len=200 + 3 * i, channel=i % 4)
+                 for i in range(8)]
+        plan = device.prepare_class_plan(below)
+        for shift in range(4):
+            device.iteration_from_plan(plan, shift)
+        assert device._affine_ok and device._affine_hi < 300
+        crossing = advanced(below, 60)  # contexts 260..281
+        plan = device.prepare_class_plan(crossing)
+        passes = counted_passes(device)
+        for shift in range(40):
+            assert device.iteration_from_plan(plan, shift) == \
+                reference.iteration(advanced(crossing, shift))
+        assert not device._affine_ok
+        assert len(passes) == 2 * 40
 
 
 class TestShardForMha:
