@@ -14,10 +14,11 @@ if the run is not ``correct``, if any count is higher than recorded, if
 a serving workload's traced device iterations differ from its scheduler
 iterations (every committed iteration must pass through the traced
 device entry, so the counts cannot be lowered by routing around it), or
-if a workload's ``grouping.grouped_share`` is lower than recorded (the
-share of iterations committed through the class engine is deterministic
-too, and a falling share means iterations went back to the per-request
-path).
+if a workload's ``grouping.grouped_share`` or ``dram.replayed_share`` is
+lower than recorded (both shares are deterministic too: a falling
+grouped share means iterations went back to the per-request path, a
+falling replayed share means DRAM commands went back to per-command
+stepping).
 ``--result FILE`` checks a saved output instead of running the
 benchmark.  Exit code 0 means every count held.
 """
@@ -39,7 +40,7 @@ COUNTS = ("kv.calls", "binpack.tracker_calls", "latency.calls",
           "pool.calls", "device.mha_classes_calls")
 
 #: Traced per-layer shares that may not fall between BENCH files.
-SHARES = ("grouping.grouped_share",)
+SHARES = ("grouping.grouped_share", "dram.replayed_share")
 
 TRACE_COMMAND = ["perfbench/run.py", "--workload", "all", "--seed", "0",
                  "--trace", "1"]

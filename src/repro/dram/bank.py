@@ -18,7 +18,7 @@ structural hazards of each organization:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.dram.commands import BufferTarget
 from repro.dram.timing import TimingParams
@@ -63,11 +63,11 @@ class Bank:
         self.index = index
         self.timing = timing
         self.dual_row_buffer = dual_row_buffer
-        self._buffers: Dict[BufferTarget, _RowBuffer] = {
-            BufferTarget.MEM: _RowBuffer()
-        }
-        if dual_row_buffer:
-            self._buffers[BufferTarget.PIM] = _RowBuffer()
+        self._mem = _RowBuffer()
+        #: blocked-mode banks share one buffer between both flows.
+        self._pim = _RowBuffer() if dual_row_buffer else self._mem
+        self._bufs = ((self._mem, self._pim) if dual_row_buffer
+                      else (self._mem,))
         #: time until which a PIM operation owns the (shared) buffer —
         #: only meaningful for single-buffer banks (blocked mode).
         self.pim_busy_until: float = float("-inf")
@@ -76,11 +76,11 @@ class Bank:
 
     def _buffer(self, target: BufferTarget) -> _RowBuffer:
         """Resolve the row buffer for a command target."""
-        if target is BufferTarget.NONE:
-            raise ValueError("command does not target a row buffer")
-        if not self.dual_row_buffer:
-            return self._buffers[BufferTarget.MEM]
-        return self._buffers[target]
+        if target is BufferTarget.MEM:
+            return self._mem
+        if target is BufferTarget.PIM:
+            return self._pim
+        raise ValueError("command does not target a row buffer")
 
     def open_row(self, target: BufferTarget) -> Optional[int]:
         """Row currently open in the targeted buffer (``None`` if closed)."""
@@ -89,8 +89,8 @@ class Bank:
     def _other_buffer_row(self, target: BufferTarget) -> Optional[int]:
         if not self.dual_row_buffer:
             return None
-        other = BufferTarget.PIM if target is BufferTarget.MEM else BufferTarget.MEM
-        return self._buffers[other].open_row
+        other = self._pim if target is BufferTarget.MEM else self._mem
+        return other.open_row
 
     # ------------------------------------------------------------------
     # Earliest-issue queries (used by the controller to schedule).
@@ -192,7 +192,7 @@ class Bank:
 
     def refresh(self, time: float, trfc: int) -> None:
         """Apply a refresh: all buffers closed, bank unusable for tRFC."""
-        for buf in self._buffers.values():
+        for buf in self._bufs:
             buf.open_row = None
             buf.act_allowed_at = max(buf.act_allowed_at, time + trfc)
         self.pim_busy_until = max(self.pim_busy_until, time + trfc)
@@ -220,7 +220,7 @@ class Bank:
         """
         if not self.dual_row_buffer:
             parts = [self.pim_busy_until - base, self._last_act_any - base]
-            for buf in self._buffers.values():
+            for buf in self._bufs:
                 parts.append(buf.open_row)
                 parts.append(buf.act_time - base)
                 parts.append(buf.pre_allowed_at - base)
@@ -232,7 +232,7 @@ class Bank:
             self.pim_busy_until - base,
             max(self._last_act_any, horizon - timing.tRRD_L) - base,
         ]
-        for buf in self._buffers.values():
+        for buf in self._bufs:
             parts.append(buf.open_row)
             parts.append(max(buf.act_time, horizon - timing.tRCD) - base)
             parts.append(max(buf.pre_allowed_at, horizon) - base)
@@ -244,7 +244,7 @@ class Bank:
         """Advance every stored absolute time by ``dt`` cycles."""
         self.pim_busy_until += dt
         self._last_act_any += dt
-        for buf in self._buffers.values():
+        for buf in self._bufs:
             buf.act_time += dt
             buf.pre_allowed_at += dt
             buf.act_allowed_at += dt

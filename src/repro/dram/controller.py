@@ -21,11 +21,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.dram.channel import Channel, IssueRecord
 from repro.dram.commands import BufferTarget, Command, CommandType
 from repro.sim.stats import StatsRegistry
+
+#: Timing-relevant fields of a command: row and meta never affect timing
+#: (rows cycle per wave, tags vary per request), so replay matches on these.
+_shape = attrgetter("ctype", "bank", "banks", "k")
 
 
 @dataclass
@@ -50,13 +55,34 @@ class ReplaySummary:
 class _RunBoundary:
     """Bookkeeping for one observed state during the run hunt."""
 
-    pops: int                    #: queue commands popped when observed
+    #: commands consumed when observed: counted from the hunt log's start
+    #: for hunt boundaries, from the drain's start for reuse snapshots.
+    pops: int
     clock: float                 #: controller clock when observed
     records_len: int             #: issue records accumulated when observed
     ca_busy: float               #: channel C/A busy cycles when observed
     refresh_rel: Optional[float]  #: deadline minus clock (None = disabled)
     next_refresh: float          #: absolute refresh deadline when observed
     counters: Tuple[Dict[str, float], ...] = field(default_factory=tuple)
+    finishes: int = 0            #: replay finishes recorded when observed
+
+
+@dataclass
+class _Run:
+    """A verified refresh-free run, kept for reuse across refreshes.
+
+    From any state whose key equals ``key``, one repetition of ``block``
+    advances every clock by ``period`` and every counter by ``deltas``
+    (one dict per stat registry), as long as no refresh-sensitive check
+    changes its outcome.
+    """
+
+    key: tuple
+    block: List[Command]
+    period: float
+    ca_busy: float               #: C/A busy cycles per repetition
+    deltas: Tuple[Dict[str, float], ...]
+    finish: float                #: probe finish minus the clock at its end
 
 
 @dataclass
@@ -116,6 +142,19 @@ class MemoryController:
         self._replay_finish = 0.0
         #: accounting of the most recent :meth:`drain_fast` call.
         self.replay = ReplaySummary()
+        self._reset_runs()
+
+    def _reset_runs(self) -> None:
+        """Forget the kept run and its super-period snapshots."""
+        #: last verified refresh-free run (see :meth:`_reuse_run`).
+        self._kept: Optional[_Run] = None
+        #: position in the kept run's block of the next consumed command,
+        #: ``None`` once a stepped command broke the alignment.
+        self._cursor: Optional[int] = None
+        #: reuse-point states keyed by their refresh offset.
+        self._snapshots: Dict[float, _RunBoundary] = {}
+        #: completion frontier of every replay of this drain, in order.
+        self._finishes: List[float] = []
 
     # ------------------------------------------------------------------
 
@@ -301,8 +340,16 @@ class MemoryController:
         a successful replay before the hunt is abandoned, so aperiodic
         streams (e.g. RD runs that outpace the data bus and grow a booked-
         burst backlog) degrade to near-:meth:`drain` cost.
+
+        A refresh-free run stays verified after its replay: whenever the
+        state key recurs later in the drain (after a refresh crossing),
+        the run replays again without a new probe, and two such reuse
+        points at the same refresh offset bound an exact super-period
+        (see :meth:`_reuse_run`), so a long stream pays per run rather
+        than per refresh interval.
         """
         self.replay = ReplaySummary()
+        self._reset_runs()
         history: Dict[tuple, _RunBoundary] = {}
         log: List[Command] = []
         hunting = hunt_budget > 0
@@ -320,8 +367,7 @@ class MemoryController:
                 # so they neither observe nor count toward re-anchoring.
                 if (queue is not None and len(queue) >= 2
                         and not self._open_pim_acts):
-                    head = queue[0]
-                    sig = (head.ctype, head.bank, head.banks, head.k)
+                    sig = _shape(queue[0])
                     if anchor is None or misses > self._REANCHOR_AFTER:
                         anchor = sig
                         misses = 0
@@ -345,7 +391,14 @@ class MemoryController:
                 return self.records
             self.replay.stepped += 1
             if hunting:
-                log.append(record.command)
+                cmd = record.command
+                log.append(cmd)
+                cursor = self._cursor
+                if cursor is not None:
+                    block = self._kept.block
+                    self._cursor = ((cursor + 1) % len(block)
+                                    if _shape(cmd) == _shape(block[cursor])
+                                    else None)
 
     #: Consecutive anchor misses (at eligible boundaries) tolerated before
     #: the hunt re-anchors on the current queue head (covers prefixes like
@@ -381,8 +434,7 @@ class MemoryController:
             # path max-combines the two, so clamp for the digest.
             max(self._pim_frontier, self.channel.ca_free_at) - base,
             self._pending_gemv_cycles,
-            tuple((c.ctype, c.bank, c.banks, c.k)
-                  for c in self._open_pim_acts),
+            tuple(map(_shape, self._open_pim_acts)),
             tuple(sorted(self._open_mem_rows.items())),
             self.channel.state_key(base),
         )
@@ -419,6 +471,27 @@ class MemoryController:
                                      + totals.get("cmd.PIM_DOTPRODUCT", 0.0)),
         }
 
+    def _boundary(self, pops: int) -> _RunBoundary:
+        """Snapshot of the current state for a later period measurement."""
+        return _RunBoundary(
+            pops=pops, clock=self._clock, records_len=len(self.records),
+            ca_busy=self.channel.ca_busy_cycles,
+            refresh_rel=(self._next_refresh - self._clock
+                         if self.config.refresh_enabled else None),
+            next_refresh=self._next_refresh,
+            counters=tuple(r.as_dict() for r in self._stat_registries()),
+            finishes=len(self._finishes),
+        )
+
+    def _deltas(self, previous: _RunBoundary) -> Tuple[Dict[str, float], ...]:
+        """Per-registry stat changes since ``previous``."""
+        return tuple(
+            {name: value - snapshot.get(name, 0.0)
+             for name, value in registry.as_dict().items()
+             if value != snapshot.get(name, 0.0)}
+            for registry, snapshot in zip(self._stat_registries(),
+                                          previous.counters))
+
     def _observe_boundary(self, queue: Deque[Command],
                           history: Dict[tuple, _RunBoundary],
                           log: List[Command]) -> bool:
@@ -427,44 +500,101 @@ class MemoryController:
         Returns ``True`` when a run was replayed (the caller restarts the
         hunt with fresh history), ``False`` to proceed with a normal step.
         """
-        key = self._state_key(queue is self.pim_queue)
-        refresh_rel = (self._next_refresh - self._clock
-                       if self.config.refresh_enabled else None)
-        boundary = _RunBoundary(
-            pops=len(log), clock=self._clock, records_len=len(self.records),
-            ca_busy=self.channel.ca_busy_cycles,
-            refresh_rel=refresh_rel, next_refresh=self._next_refresh,
-            counters=tuple(r.as_dict() for r in self._stat_registries()),
-        )
+        pim_run = queue is self.pim_queue
+        key = self._state_key(pim_run)
+        if (self._kept is not None and key == self._kept.key
+                and self._replay_hazard_free(pim_run)
+                and self._reuse_run(queue)):
+            return True
+        boundary = self._boundary(len(log))
         previous = history.get(key)
+        history[key] = boundary
         if previous is None:
-            history[key] = boundary
             return False
         period = self._clock - previous.clock
         block = log[previous.pops:]
         if (period <= 0 or not block or self._open_pim_acts
-                or not self._replay_hazard_free(queue is self.pim_queue)):
-            history[key] = boundary
+                or not self._replay_hazard_free(pim_run)):
             return False
-        reps = self._count_matching_reps(queue, block)
-        if reps > 0:
-            if previous.refresh_rel == refresh_rel:
-                # Exact recurrence: any refreshes are part of the period,
-                # so the deadline shifts along with the clocks.
-                self._apply_run(queue, len(block), reps, period,
-                                previous, boundary, shift_refresh=True)
+        if previous.refresh_rel == boundary.refresh_rel:
+            # Exact recurrence: any refreshes are part of the period, so
+            # the deadline shifts along with the clocks.
+            limit = None
+        elif previous.next_refresh == self._next_refresh:
+            # Deadline-agnostic recurrence (no refresh fired during the
+            # probe): skip only repetitions that provably finish every
+            # refresh-sensitive check before the (unmoved) deadline.
+            limit = self._deadline_limited_reps(period, block)
+        else:
+            limit = 0
+        reps = self._count_matching_reps(queue, block, limit)
+        if reps <= 0:
+            return False
+        probe_finish = max(
+            (r.complete_time for r in self.records[previous.records_len:]),
+            default=self._clock,
+        )
+        run = _Run(key, block, period, boundary.ca_busy - previous.ca_busy,
+                   self._deltas(previous), probe_finish - self._clock)
+        if limit is None:
+            # A period with a refresh in it cannot replay deadline-limited.
+            self._cursor = None
+        else:
+            self._kept = run
+            self._cursor = 0
+            self._snapshots.clear()
+        self._replay(queue, run, reps, shift_refresh=limit is None)
+        return True
+
+    def _reuse_run(self, queue: Deque[Command]) -> bool:
+        """Replay the kept run from a state with its key, without a probe.
+
+        The kept run was verified refresh-free from this key, so the
+        deadline-limited argument of :meth:`_deadline_limited_reps`
+        applies here as it did at its probe.  (Runs are only kept with
+        refresh enabled: without it every recurrence is exact and replays
+        all it can.)
+
+        Each such reuse point also snapshots the state under its refresh
+        offset.  A later reuse point at the same offset, with every
+        command consumed in between aligned to the block, has the same
+        key *and* deadline offset, so the interval is an exact period,
+        refreshes included: its remaining whole multiples replay at once
+        and the deadline shifts along.
+        """
+        run = self._kept
+        if self._cursor != 0:
+            self._snapshots.clear()
+            self._cursor = 0
+        offset = self._next_refresh - self._clock
+        snapshot = self._snapshots.get(offset)
+        if snapshot is not None:
+            per = (self.replay.total - snapshot.pops) // len(run.block)
+            period = self._clock - snapshot.clock
+            reps = (self._count_matching_reps(queue, run.block) // per
+                    if per > 0 and period > 0 else 0)
+            if reps > 0:
+                finish = max(
+                    [r.complete_time
+                     for r in self.records[snapshot.records_len:]]
+                    + self._finishes[snapshot.finishes:],
+                    default=self._clock,
+                )
+                interval = _Run(
+                    run.key, run.block * per, period,
+                    self.channel.ca_busy_cycles - snapshot.ca_busy,
+                    self._deltas(snapshot), finish - self._clock)
+                self._snapshots.clear()
+                self._replay(queue, interval, reps, shift_refresh=True)
                 return True
-            if previous.next_refresh == self._next_refresh:
-                # Deadline-agnostic recurrence (no refresh fired during the
-                # probe): skip only repetitions that provably finish every
-                # refresh-sensitive check before the (unmoved) deadline.
-                reps = min(reps, self._deadline_limited_reps(period, block))
-                if reps > 0:
-                    self._apply_run(queue, len(block), reps, period,
-                                    previous, boundary, shift_refresh=False)
-                    return True
-        history[key] = boundary
-        return False
+        self._snapshots[offset] = self._boundary(self.replay.total)
+        reps = self._count_matching_reps(
+            queue, run.block,
+            self._deadline_limited_reps(run.period, run.block))
+        if reps <= 0:
+            return False
+        self._replay(queue, run, reps, shift_refresh=False)
+        return True
 
     def _deadline_limited_reps(self, period: float,
                                block: List[Command]) -> int:
@@ -499,61 +629,56 @@ class MemoryController:
                    for bank in self.channel.banks)
 
     @staticmethod
-    def _count_matching_reps(queue: Deque[Command],
-                             block: List[Command]) -> int:
+    def _count_matching_reps(queue: Deque[Command], block: List[Command],
+                             limit: Optional[int] = None) -> int:
         """Full repetitions of ``block`` at the head of ``queue``.
 
-        Commands match structurally — row and meta are timing-irrelevant
-        (rows cycle per wave, tags vary per request) and are excluded.
+        Commands match on their :data:`_shape`.  At most ``limit``
+        repetitions are scanned (``None``: no bound); a limit of zero or
+        less scans nothing.
         """
         length = len(block)
         full = len(queue) // length
+        if limit is not None:
+            if limit <= 0:
+                return 0
+            full = min(full, limit)
+        shapes = [_shape(cmd) for cmd in block]
         for index, cmd in enumerate(islice(queue, full * length)):
-            ref = block[index % length]
-            if (cmd.ctype is not ref.ctype or cmd.bank != ref.bank
-                    or cmd.banks != ref.banks or cmd.k != ref.k):
+            if _shape(cmd) != shapes[index % length]:
                 return index // length
         return full
 
-    def _apply_run(self, queue: Deque[Command], length: int, reps: int,
-                   period: float, previous: _RunBoundary,
-                   current: _RunBoundary, shift_refresh: bool) -> None:
-        """Advance state over ``reps`` repetitions in one arithmetic step."""
-        shift = reps * period
-        # Per-repetition stat deltas, measured over the probe repetition.
-        registries = self._stat_registries()
+    def _replay(self, queue: Deque[Command], run: _Run, reps: int,
+                shift_refresh: bool) -> None:
+        """Advance state over ``reps`` repetitions of ``run`` in one step.
+
+        The repetition just before the replayed ones finished at
+        ``clock + run.finish``; the last replayed one (which materializes
+        no records) finishes ``reps`` periods later.
+        """
+        shift = reps * run.period
+        finish = self._clock + run.finish + shift
         channel_registry = self.channel.stats
         channel_deltas: Dict[str, float] = {}
-        for registry, snapshot in zip(registries, previous.counters):
-            deltas = {
-                name: value - snapshot.get(name, 0.0)
-                for name, value in registry.as_dict().items()
-                if value != snapshot.get(name, 0.0)
-            }
+        for registry, deltas in zip(self._stat_registries(), run.deltas):
             if registry is channel_registry:
                 channel_deltas = deltas
             else:
                 for name, delta in deltas.items():
                     registry.add(name, delta * reps)
-        self.channel.issue_run(
-            reps, period,
-            ca_busy_per_rep=current.ca_busy - previous.ca_busy,
-            stat_deltas=channel_deltas,
-        )
-        # Completion frontier of the probe repetition, shifted to the last
-        # replayed repetition (replayed commands materialize no records).
-        probe_finish = max(
-            (r.complete_time for r in self.records[previous.records_len:]),
-            default=self._clock,
-        )
-        self._replay_finish = max(self._replay_finish, probe_finish + shift)
+        self.channel.issue_run(reps, run.period, ca_busy_per_rep=run.ca_busy,
+                               stat_deltas=channel_deltas)
+        self._finishes.append(finish)
+        self._replay_finish = max(self._replay_finish, finish)
         self._clock += shift
         self._pim_frontier += shift
         if shift_refresh:
             self._next_refresh += shift
-        for _ in range(reps * length):
+        count = reps * len(run.block)
+        for _ in range(count):
             queue.popleft()
-        self.replay.replayed += reps * length
+        self.replay.replayed += count
         self.replay.runs += 1
 
     @property

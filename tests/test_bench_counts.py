@@ -59,6 +59,14 @@ class TestShareRegressions:
         assert gate.share_regressions(recorded, {}) == [
             "a.grouping.grouped_share: missing from the run"]
 
+    def test_lower_replayed_share_fails(self):
+        recorded = {"cycle.dram.replayed_share": {"value": 0.96},
+                    "serving.dram.replayed_share": {"value": 0.0}}
+        measured = {"cycle.dram.replayed_share": {"value": 0.88},
+                    "serving.dram.replayed_share": {"value": 0.0}}
+        assert gate.share_regressions(recorded, measured) == [
+            "cycle.dram.replayed_share: 0.88 < 0.96 recorded"]
+
     def test_counts_and_windows_are_not_shares(self):
         recorded = {"a.kv.calls": {"value": 5},
                     "a.grouping.windows": {"value": 5}}

@@ -8,13 +8,18 @@ the homogeneous run shapes it accelerates (fine-grained wave trains,
 composite streams, GWRITE and RD/WR bursts).
 """
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dram.channel import Channel
 from repro.dram.commands import Command, CommandType
 from repro.dram.controller import ControllerConfig, MemoryController
 from repro.dram.timing import HbmOrganization
 from repro.pim.gemv import GemvOp, composite_stream, fine_grained_stream
+from repro.sim.stats import StatsRegistry
 
 ORG = HbmOrganization()
 
@@ -202,3 +207,115 @@ class TestEdgeCases:
                 GemvOp(rows=128 * 8, cols=seq_len, tag=f"attend[{i}]"), ORG)
         slow, fast = drain_both(stream)
         assert_equivalent(slow, fast)
+
+
+#: (composite encoding, rows, cols): up to 96 waves, several refreshes.
+_GEMV = st.tuples(st.booleans(),
+                  st.integers(1, 48 * ORG.banks_per_channel),
+                  st.integers(1, 2 * ORG.elements_per_page(2)))
+#: (bank, RD or WR, column accesses) between one ACT and one PRE.
+_BURST = st.tuples(st.integers(0, ORG.banks_per_channel - 1),
+                   st.sampled_from([CommandType.RD, CommandType.WR]),
+                   st.integers(1, 400))
+
+
+def _random_streams(gemvs, bursts):
+    pim = []
+    for i, (composite, rows, cols) in enumerate(gemvs):
+        encode = composite_stream if composite else fine_grained_stream
+        pim += encode(GemvOp(rows=rows, cols=cols, tag=f"g{i}"), ORG)
+    mem = []
+    for i, (bank, ctype, count) in enumerate(bursts):
+        # Rows far above any GEMV row, so the dual-buffer same-row rule
+        # never trips.
+        mem.append(Command(CommandType.ACT, bank=bank, row=60_000 + i))
+        mem += [Command(ctype, bank=bank) for _ in range(count)]
+        mem.append(Command(CommandType.PRE, bank=bank))
+    return pim, mem
+
+
+class TestRandomStreams:
+    """``drain_fast`` against ``drain`` on random concatenated streams."""
+
+    @settings(deadline=None)
+    # Shapes come from a pool of one or two, so the same wave trains and
+    # state keys recur across GEMVs of one stream.
+    @given(gemvs=st.lists(_GEMV, min_size=1, max_size=2).flatmap(
+               lambda pool: st.lists(st.sampled_from(pool),
+                                     min_size=1, max_size=4)),
+           bursts=st.lists(_BURST, max_size=3),
+           dual=st.booleans(), refresh=st.booleans(),
+           header_aware=st.booleans(),
+           hunt_budget=st.sampled_from([0, 8, 128]),
+           own_stats=st.booleans())
+    def test_matches_drain(self, gemvs, bursts, dual, refresh, header_aware,
+                           hunt_budget, own_stats):
+        pim, mem = _random_streams(gemvs, bursts)
+        controllers = []
+        for _ in range(2):
+            channel = Channel(0, dual_row_buffer=dual)
+            ctrl = MemoryController(
+                channel,
+                ControllerConfig(refresh_enabled=refresh,
+                                 header_aware_refresh=header_aware),
+                # A controller registry apart from the channel's exercises
+                # the per-registry replay deltas.
+                stats=StatsRegistry() if own_stats else None)
+            ctrl.enqueue_pim(list(pim))
+            ctrl.enqueue_mem(list(mem))
+            controllers.append(ctrl)
+        slow, fast = controllers
+        slow.drain()
+        fast.drain_fast(hunt_budget=hunt_budget)
+        assert fast.finish_time == slow.finish_time
+        assert fast.stats.as_dict() == slow.stats.as_dict()
+        assert fast.channel.stats.as_dict() == slow.channel.stats.as_dict()
+        assert fast.channel.ca_busy_cycles == slow.channel.ca_busy_cycles
+        assert fast.counter_view() == slow.counter_view()
+        assert fast.replay.total == len(pim) + len(mem)
+
+
+def _blocked_fine(waves):
+    """A blocked-mode fine-grained GEMV of ``waves`` waves."""
+    return fine_grained_stream(
+        GemvOp(rows=waves * ORG.banks_per_channel,
+               cols=ORG.elements_per_page(2), tag="w"), ORG)
+
+
+class TestReplayCounts:
+    """Replay pays per run, not per refresh interval or per command."""
+
+    def test_blocked_fine_grained_steps_do_not_grow_with_length(self):
+        stepped = []
+        for waves in (128, 512, 1536):
+            ctrl = build(dual=False, header_aware_refresh=False)
+            ctrl.enqueue_pim(_blocked_fine(waves))
+            ctrl.drain_fast()
+            assert ctrl.replay.total == len(_blocked_fine(waves))
+            stepped.append(ctrl.replay.stepped)
+        assert stepped[0] == stepped[1] == stepped[2]
+
+    def test_long_blocked_stream_crosses_refreshes_in_one_super_period(self):
+        stream = _blocked_fine(512)
+        slow, fast = drain_both(stream, dual=False,
+                                header_aware_refresh=False)
+        assert slow.stats.get("refresh.issued") > 30
+        assert fast.replay.replayed > 0.98 * len(stream)
+        assert_equivalent(slow, fast)
+
+    @pytest.mark.parametrize("limit", [None, 0, 1, 3, 1000])
+    def test_scan_returns_at_most_limit(self, limit):
+        block = fine_stream(ORG.banks_per_channel, 512)[1:12]
+        queue = deque(block * 8)
+        reps = MemoryController._count_matching_reps(queue, block, limit)
+        assert reps == (8 if limit is None else max(0, min(8, limit)))
+
+    @pytest.mark.parametrize("limit", [0, -1, -50])
+    def test_non_positive_limit_scans_nothing(self, limit):
+        class Untouchable(deque):
+            def __iter__(self):
+                raise AssertionError("scanned the queue")
+
+        block = [Command(CommandType.PIM_GWRITE, bank=0, row=1)]
+        queue = Untouchable(block * 4)
+        assert MemoryController._count_matching_reps(queue, block, limit) == 0

@@ -76,6 +76,13 @@ class TestDualRowBuffer:
         assert bank.open_row(BufferTarget.MEM) == 3
 
 
+    @pytest.mark.parametrize("dual", [True, False])
+    def test_no_buffer_target_raises(self, timing, dual):
+        bank = Bank(0, timing, dual_row_buffer=dual)
+        with pytest.raises(ValueError):
+            bank.open_row(BufferTarget.NONE)
+
+
 class TestBlockedMode:
     def test_pim_hold_blocks_mem_in_single_buffer(self, timing):
         bank = single_bank(timing)
