@@ -206,10 +206,10 @@ class Router:
         pool = handle.pool
         if pool.running_count() or pool.has_finished():
             return scheduler.now
-        waiting = pool.waiting()
-        if not waiting:
+        pending = pool.next_arrival()
+        if pending is None:
             return None
-        return max(scheduler.now, waiting[0].arrival_time)
+        return max(scheduler.now, pending.arrival_time)
 
     def _cached_next_time(self, handle: NodeHandle) -> Optional[float]:
         """Memoized :meth:`_next_time` (recomputed only after changes).

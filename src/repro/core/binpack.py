@@ -14,6 +14,7 @@ whenever sequence lengths are skewed.
 
 from __future__ import annotations
 
+from heapq import heapify, heapreplace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.estimator import MhaLatencyEstimator
@@ -264,12 +265,17 @@ def greedy_min_load_assign(
     assignment: Dict[int, int] = {}
     # Sort by sequence length descending (longest-processing-time first).
     ordered = sorted(new_requests, key=lambda r: (-r.seq_len, r.request_id))
+    # A min-heap of (load, channel) pops the least-loaded channel, ties to
+    # the lower index — the same choice as a scan over channels, in
+    # O(log channels) per request.
+    heap = [(load, channel) for channel, load in enumerate(loads)]
+    heapify(heap)
     for request in ordered:
-        min_index = min(range(num_channels), key=lambda c: (loads[c], c))
-        request.channel = min_index
-        load = estimator.estimate(request.seq_len)
-        loads[min_index] += load
-        assignment[request.request_id] = min_index
+        load, channel = heap[0]
+        request.channel = channel
+        heapreplace(heap, (load + estimator.estimate(request.seq_len),
+                           channel))
+        assignment[request.request_id] = channel
     return assignment
 
 

@@ -119,9 +119,9 @@ class ResilienceRuntime:
             min_base = min(base.get(r.request_id, r.arrival_time)
                            for r in batch)
         shed_wait = serving.shed_wait_cycles
-        waiting = pool.waiting() if shed_wait is not None else None
-        if waiting:
-            min_arrival = waiting[0].arrival_time
+        pending = pool.next_arrival() if shed_wait is not None else None
+        if pending is not None:
+            min_arrival = pending.arrival_time
         else:
             shed_wait = min_arrival = math.inf
 

@@ -12,7 +12,10 @@ the whole table.  Status transitions happen on request objects all over
 the serving stack (admission, token advance, preemption demotions); the
 pool installs a status observer on every submitted request, so buckets
 stay exact without per-iteration rescans, and sorted views are cached
-until their bucket actually changes.
+until their bucket actually changes.  Admission takes waiting requests
+from the head of the arrival-sorted view, so the WAITING view also keeps
+a consumed-prefix cursor: a request leaving from the head advances it
+instead of dropping the view.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ class RequestPool:
         #: arrival times aligned with the sorted WAITING view (for the
         #: arrived-by-``now`` prefix cut)
         self._waiting_arrivals: List[float] = []
+        #: index of the first WAITING view entry still waiting (entries
+        #: before it left from the head without dropping the view)
+        self._waiting_head = 0
 
     # ------------------------------------------------------------------
     # Bucket maintenance.
@@ -50,15 +56,29 @@ class RequestPool:
         if self._requests.get(request.request_id) is not request:
             return  # stale observer (request re-submitted elsewhere)
         if old is not None:
-            self._buckets[old].pop(request.request_id, None)
-            self._sorted[old] = None
+            self._leave(request, old)
         self._buckets[new][request.request_id] = request
         self._sorted[new] = None
 
+    def _leave(self, request: InferenceRequest,
+               status: RequestStatus) -> None:
+        """Take ``request`` out of its ``status`` bucket.
+
+        Leaving from the head of the WAITING view only advances the
+        consumed-prefix cursor; any other removal drops the view.
+        """
+        self._buckets[status].pop(request.request_id, None)
+        view = self._sorted[status]
+        if view is not None and status is RequestStatus.WAITING:
+            head = self._waiting_head
+            if head < len(view) and view[head] is request:
+                self._waiting_head = head + 1
+                return
+        self._sorted[status] = None
+
     def _drop(self, request: InferenceRequest) -> None:
         del self._requests[request.request_id]
-        self._buckets[request.status].pop(request.request_id, None)
-        self._sorted[request.status] = None
+        self._leave(request, request.status)
         observer = request.__dict__.get("_status_observer")
         if getattr(observer, "__self__", None) is self:
             del request.__dict__["_status_observer"]
@@ -75,6 +95,7 @@ class RequestPool:
                 # id-ordered view (stable) and remember the arrival keys.
                 view.sort(key=lambda r: r.arrival_time)
                 self._waiting_arrivals = [r.arrival_time for r in view]
+                self._waiting_head = 0
         return view
 
     # ------------------------------------------------------------------
@@ -119,11 +140,13 @@ class RequestPool:
     def waiting(self, now: float = float("inf")) -> List[InferenceRequest]:
         """Waiting requests that have arrived by ``now``, FIFO by arrival."""
         view = self._bucket_sorted(RequestStatus.WAITING)
-        if not view:
+        head = self._waiting_head
+        if head == len(view):
             return []
-        if now >= self._waiting_arrivals[-1]:
-            return list(view)
-        return view[:bisect_right(self._waiting_arrivals, now)]
+        arrivals = self._waiting_arrivals
+        if now >= arrivals[-1]:
+            return view[head:]
+        return view[head:bisect_right(arrivals, now, head)]
 
     def waiting_count(self) -> int:
         """Number of waiting requests (no scan, no sort)."""
@@ -133,7 +156,15 @@ class RequestPool:
         """Whether any waiting request has arrived by ``now`` (O(1) after
         the cached arrival-sorted view is built)."""
         view = self._bucket_sorted(RequestStatus.WAITING)
-        return bool(view) and self._waiting_arrivals[0] <= now
+        head = self._waiting_head
+        return head < len(view) and self._waiting_arrivals[head] <= now
+
+    def next_arrival(self) -> Optional[InferenceRequest]:
+        """The earliest-arriving waiting request (ties by id), or ``None``;
+        O(1) after the cached arrival-sorted view is built."""
+        view = self._bucket_sorted(RequestStatus.WAITING)
+        head = self._waiting_head
+        return view[head] if head < len(view) else None
 
     def running(self) -> List[InferenceRequest]:
         """Requests currently in the generation batch."""

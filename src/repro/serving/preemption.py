@@ -193,10 +193,10 @@ def run_with_preemption(scheduler_pool, device, requests,
                 restore_penalty += pool.restore_cost(request.request_id)
         batch = scheduler_pool.running()
         if not batch:
-            pending = scheduler_pool.waiting()
-            if not pending:
+            pending = scheduler_pool.next_arrival()
+            if pending is None:
                 break
-            now = max(now, min(r.arrival_time for r in pending))
+            now = max(now, pending.arrival_time)
             continue
 
         latency = device.iteration(batch).latency + restore_penalty

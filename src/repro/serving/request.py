@@ -25,6 +25,10 @@ class RequestStatus(Enum):
     RUNNING = "run"
     DONE = "done"
 
+    # Members are singletons compared by identity, so identity hashing (in
+    # C) agrees with ``==``; the pool keys its status buckets by member.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class InferenceRequest:
@@ -63,33 +67,11 @@ class InferenceRequest:
         if self.generated < 0 or self.generated > self.output_len:
             raise ValueError("generated out of range")
 
-    # ------------------------------------------------------------------
-    # Status observation.  The request pool indexes requests by status,
-    # but transitions (begin_generation, advance, preemption demotions)
-    # happen directly on request objects all over the serving stack; this
-    # hook lets the owning pool keep its per-status buckets exact without
-    # rescanning every request per iteration.
-    # ------------------------------------------------------------------
-
-    def __setattr__(self, name: str, value: object) -> None:
-        if name == "status":
-            old = self.__dict__.get("status")
-            self.__dict__["status"] = value
-            if old is not value:
-                observer = self.__dict__.get("_status_observer")
-                if observer is not None:
-                    observer(self, old, value)
-            return
-        self.__dict__[name] = value
-
     def __getstate__(self) -> dict:
-        # The observer points at a live pool; never serialize it.
+        # The status observer points at a live pool; never serialize it.
         state = self.__dict__.copy()
         state.pop("_status_observer", None)
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     @property
     def seq_len(self) -> int:
@@ -114,3 +96,33 @@ class InferenceRequest:
         """Transition into the generation phase on ``channel``."""
         self.status = RequestStatus.RUNNING
         self.channel = channel
+
+
+class _StatusHook:
+    """Set-only data descriptor on :attr:`InferenceRequest.status`.
+
+    The request pool indexes requests by status, but transitions
+    (begin_generation, advance, preemption demotions) happen directly on
+    request objects all over the serving stack.  Writes to ``status`` land
+    here and notify the owning pool's ``_status_observer`` when the value
+    changes, so its per-status buckets stay exact without rescans.  With
+    no ``__get__``, reads come straight from the instance dict, and writes
+    to every other field never reach this hook.
+    """
+
+    __slots__ = ()
+
+    def __set__(self, request: InferenceRequest,
+                value: RequestStatus) -> None:
+        state = request.__dict__
+        old = state.get("status")
+        state["status"] = value
+        if old is not value:
+            observer = state.get("_status_observer")
+            if observer is not None:
+                observer(request, old, value)
+
+
+# Installed after the dataclass is built: its ``__init__`` keeps the
+# WAITING default and assigns ``status`` through the hook.
+InferenceRequest.status = _StatusHook()  # type: ignore[assignment]

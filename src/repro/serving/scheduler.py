@@ -611,11 +611,10 @@ class IterationScheduler:
         admitted = self._admit()
         batch = self.pool.running()
         if not batch:
-            pending = self.pool.waiting()
-            if not pending:
+            pending = self.pool.next_arrival()
+            if pending is None:
                 return None
-            self._now = max(self._now,
-                            min(r.arrival_time for r in pending))
+            self._now = max(self._now, pending.arrival_time)
             if self.latency_tracker is not None:
                 self.latency_tracker.sync_clock(self._now)
             admitted += self._admit()

@@ -1,6 +1,8 @@
 """Unit tests for channel load balancing (Algorithm 2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.binpack import (
     channel_loads,
@@ -109,3 +111,50 @@ class TestLoads:
 
     def test_load_imbalance_zero_loads(self):
         assert load_imbalance([0.0, 0.0]) == 1.0
+
+
+_ESTIMATOR = MhaLatencyEstimator(GPT3_7B, HbmOrganization(),
+                                 analytic_latencies())
+
+#: Loads drawn from a few values, so exact ties and repeated floats are
+#: common; 0.0 makes all-zero starts likely.
+_LOAD = st.sampled_from([0.0, 0.0, 0.1, 1.0, 2.5, 1e3, 123456.789])
+
+
+def _scan_assign(requests, estimator, num_channels, initial_loads):
+    """The reference Algorithm 2: a min scan over channels per request."""
+    loads = (list(initial_loads) if initial_loads is not None
+             else [0.0] * num_channels)
+    assignment = {}
+    for request in sorted(requests, key=lambda r: (-r.seq_len, r.request_id)):
+        channel = min(range(num_channels), key=lambda c: (loads[c], c))
+        request.channel = channel
+        loads[channel] += estimator.estimate(request.seq_len)
+        assignment[request.request_id] = channel
+    return assignment
+
+
+class TestHeapMatchesScan:
+    """The heap-based greedy placement against the channel scan."""
+
+    @settings(deadline=None)
+    @given(data=st.data(), num_channels=st.integers(1, 64),
+           seq_lens=st.lists(st.one_of(st.sampled_from([1, 16, 17, 64]),
+                                       st.integers(1, 4096)),
+                             max_size=300),
+           explicit_loads=st.booleans())
+    def test_same_placement(self, data, num_channels, seq_lens,
+                            explicit_loads):
+        initial_loads = None
+        if explicit_loads:
+            initial_loads = data.draw(st.lists(
+                st.one_of(_LOAD, st.floats(0, 1e9)),
+                min_size=num_channels, max_size=num_channels))
+        fast, slow = ([make_request(i, input_len=n)
+                       for i, n in enumerate(seq_lens)] for _ in range(2))
+        expected = _scan_assign(slow, _ESTIMATOR, num_channels,
+                                initial_loads)
+        found = greedy_min_load_assign(fast, _ESTIMATOR, num_channels,
+                                       initial_loads=initial_loads)
+        assert found == expected
+        assert [r.channel for r in fast] == [r.channel for r in slow]

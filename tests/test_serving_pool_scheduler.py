@@ -1,6 +1,10 @@
 """Unit tests for the request pool and the iteration-level scheduler."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serving.paging import PagedKvAllocator, PagedKvConfig
 from repro.serving.pool import RequestPool
@@ -145,6 +149,90 @@ class TestObserverLifecycle:
         [done] = pool.retire_finished()
         assert done.request_id == 1
         assert "_status_observer" not in done.__dict__
+
+
+class TestPoolViewsMatchScan:
+    """The pool's cached views against a brute-force scan of the pool,
+    after every operation of a random sequence."""
+
+    #: Few distinct arrivals, so equal arrival times are common.
+    ARRIVALS = (0.0, 0.0, 1.0, 2.0, 2.0, 5.0)
+    NOWS = (-1.0, 0.0, 1.0, 2.0, 4.0, math.inf)
+
+    @staticmethod
+    def _check(pool):
+        members = list(pool)
+        waiting = sorted(
+            (r for r in members if r.status is RequestStatus.WAITING),
+            key=lambda r: (r.arrival_time, r.request_id))
+        for now in TestPoolViewsMatchScan.NOWS:
+            arrived = [r for r in waiting if r.arrival_time <= now]
+            assert pool.waiting(now) == arrived
+            assert pool.has_waiting_arrived(now) == bool(arrived)
+        assert pool.waiting() == waiting
+        assert pool.next_arrival() is (waiting[0] if waiting else None)
+        assert pool.waiting_count() == len(waiting)
+        for view, status in ((pool.running(), RequestStatus.RUNNING),
+                             (pool.finished(), RequestStatus.DONE)):
+            assert view == sorted(
+                (r for r in members if r.status is status),
+                key=lambda r: r.request_id)
+
+    @settings(deadline=None)
+    @given(ops=st.lists(st.tuples(
+        st.sampled_from(["submit", "admit_head", "admit_other", "preempt",
+                         "evict", "finish", "retire", "retry"]),
+        st.integers(0, 63), st.sampled_from(ARRIVALS)), max_size=80))
+    def test_random_ops(self, ops):
+        pool = RequestPool()
+        next_id = 0
+        for op, pick, arrival in ops:
+            waiting = pool.waiting()
+            running = pool.running()
+            members = list(pool)
+            if op == "submit":
+                pool.submit(req(next_id, arrival=arrival))
+                next_id += 1
+            elif op == "admit_head" and waiting:
+                waiting[0].begin_generation(pick % 4)
+            elif op == "admit_other" and len(waiting) > 1:
+                waiting[1 + pick % (len(waiting) - 1)].begin_generation(0)
+            elif op == "preempt" and running:
+                victim = running[pick % len(running)]
+                victim.status = RequestStatus.WAITING
+                victim.channel = None
+            elif op == "evict" and members:
+                pool.evict(members[pick % len(members)].request_id)
+            elif op == "finish" and running:
+                done = running[pick % len(running)]
+                done.advance(done.output_len - done.generated)
+            elif op == "retire":
+                pool.retire_finished()
+            elif op == "retry" and members:
+                # The scheduler's retry: demote, evict, re-base the arrival
+                # later, resubmit.
+                request = members[pick % len(members)]
+                request.status = RequestStatus.WAITING
+                pool.evict(request.request_id)
+                request.channel = None
+                request.generated = 0
+                request.arrival_time += 1.0 + arrival
+                pool.submit(request)
+            self._check(pool)
+
+    def test_admitting_arrived_head_keeps_waiting_view(self):
+        """Admission consumes the head of the arrival-sorted view; the
+        cached view survives it (no re-sort of the later arrivals)."""
+        pool = RequestPool()
+        pool.submit_all(req(i, arrival=float(i // 2)) for i in range(8))
+        arrived = pool.waiting(now=2.0)
+        view = pool._sorted[RequestStatus.WAITING]
+        assert [r.request_id for r in arrived] == [0, 1, 2, 3, 4, 5]
+        for request in arrived[:3]:
+            request.begin_generation(0)
+        assert pool._sorted[RequestStatus.WAITING] is view
+        assert [r.request_id for r in pool.waiting(now=2.0)] == [3, 4, 5]
+        assert pool.next_arrival() is arrived[3]
 
 
 class TestIterationScheduler:
