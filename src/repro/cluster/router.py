@@ -360,8 +360,8 @@ class Router:
         """Extract a downed node's pooled requests and re-dispatch them.
 
         Requests leave through the scheduler's
-        ``release_request`` (KV freed, load-tracker dropped, observer
-        detached) and re-enter the fleet with a re-based arrival: the
+        ``release_request`` (KV freed, load-tracker dropped, evicted from
+        the pool) and re-enter the fleet with a re-based arrival: the
         failover time plus a recompute-based restore delay for any
         generation progress (the same cost model the preemption/restore
         machinery charges).  Deadlines re-base automatically — the

@@ -20,7 +20,6 @@ from repro.pim.functional import (
     pim_attention,
     reference_attention,
 )
-from repro.pim.kvstore import ChannelKvStore, KvStoreError, RequestPlacement
 
 __all__ = [
     "CalibratedLatencies",
@@ -36,7 +35,4 @@ __all__ = [
     "FunctionalPimChannel",
     "pim_attention",
     "reference_attention",
-    "ChannelKvStore",
-    "KvStoreError",
-    "RequestPlacement",
 ]

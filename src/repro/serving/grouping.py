@@ -43,6 +43,7 @@ from repro.serving.request import InferenceRequest, RequestStatus
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.core.binpack import ChannelLoadTracker
     from repro.serving.paging import PagedKvAllocator
+    from repro.serving.pool import RequestPool
 
 #: Valid values of the serving/scheduler ``grouping`` knob.
 GROUPING_MODES = ("auto", "off")
@@ -173,8 +174,8 @@ class GroupedScheduleState:
     Member request objects are **not** touched while iterations commit;
     the state tracks the accumulated ``shift`` and :meth:`sync` writes
     every deferred effect back in one pass when the window closes —
-    generated-token counts, ``DONE`` transitions (which fire the pool's
-    status observers), paged KV allocation bookkeeping and channel-load
+    generated-token counts, ``DONE`` transitions (through the request
+    pool), paged KV allocation bookkeeping and channel-load
     tracker contributions.  Opening costs one pass over the batch and,
     with ``allocators``, one over its classes (the block schedule).
     """
@@ -233,7 +234,8 @@ class GroupedScheduleState:
 
     # -- window close ---------------------------------------------------
 
-    def sync(self, allocators: Optional[Sequence["PagedKvAllocator"]],
+    def sync(self, pool: "RequestPool",
+             allocators: Optional[Sequence["PagedKvAllocator"]],
              load_tracker: Optional["ChannelLoadTracker"]) -> None:
         """Write all deferred per-request effects back to the live stack.
 
@@ -241,6 +243,8 @@ class GroupedScheduleState:
         moves (the per-member write that remains); the rest is per class
         or per window:
 
+        * ``pool`` moves the members of every class that finished to
+          ``DONE``;
         * the KV ledger is written only for classes whose block count
           changed.  At a boundary a running request's ledger equals
           ``blocks_for(seq_len)`` (admission and every growth step
@@ -266,8 +270,7 @@ class GroupedScheduleState:
                         allocator.set_allocation(request.request_id, blocks)
             if remaining == shift:
                 for request in members:
-                    # Fires the pool's status observer (bucket move).
-                    request.status = RequestStatus.DONE
+                    pool.transition(request, RequestStatus.DONE)
         if load_tracker is not None:
             if len(load_tracker) == len(self.batch):
                 load_tracker.shift(shift)

@@ -8,14 +8,14 @@ finished ones.
 
 The pool indexes requests **by status** so the per-iteration accessors
 (`waiting` / `running` / `finished`) scan only their own bucket instead of
-the whole table.  Status transitions happen on request objects all over
-the serving stack (admission, token advance, preemption demotions); the
-pool installs a status observer on every submitted request, so buckets
-stay exact without per-iteration rescans, and sorted views are cached
-until their bucket actually changes.  Admission takes waiting requests
-from the head of the arrival-sorted view, so the WAITING view also keeps
-a consumed-prefix cursor: a request leaving from the head advances it
-instead of dropping the view.
+the whole table.  The pool owns the status of every request it holds:
+admission, completion and preemption demotions all go through
+:meth:`RequestPool.transition`, so buckets stay exact without
+per-iteration rescans, and sorted views are cached until their bucket
+actually changes.  Admission takes waiting requests from the head of the
+arrival-sorted view, so the WAITING view also keeps a consumed-prefix
+cursor: a request leaving from the head advances it instead of dropping
+the view.
 """
 
 from __future__ import annotations
@@ -50,16 +50,6 @@ class RequestPool:
     # Bucket maintenance.
     # ------------------------------------------------------------------
 
-    def _observe_status(self, request: InferenceRequest,
-                        old: Optional[RequestStatus],
-                        new: RequestStatus) -> None:
-        if self._requests.get(request.request_id) is not request:
-            return  # stale observer (request re-submitted elsewhere)
-        if old is not None:
-            self._leave(request, old)
-        self._buckets[new][request.request_id] = request
-        self._sorted[new] = None
-
     def _leave(self, request: InferenceRequest,
                status: RequestStatus) -> None:
         """Take ``request`` out of its ``status`` bucket.
@@ -79,9 +69,6 @@ class RequestPool:
     def _drop(self, request: InferenceRequest) -> None:
         del self._requests[request.request_id]
         self._leave(request, request.status)
-        observer = request.__dict__.get("_status_observer")
-        if getattr(observer, "__self__", None) is self:
-            del request.__dict__["_status_observer"]
 
     def _bucket_sorted(self, status: RequestStatus) -> List[InferenceRequest]:
         """The bucket ordered by request id, cached until it changes."""
@@ -103,26 +90,12 @@ class RequestPool:
     # ------------------------------------------------------------------
 
     def submit(self, request: InferenceRequest) -> None:
-        """Add a new request to the pool.
-
-        A request may belong to at most one pool at a time: accepting a
-        request that still carries another pool's status observer would
-        silently orphan that pool's buckets (its observer gets replaced,
-        so later transitions never reach it).  Evict or retire first.
-        """
+        """Add a new request to the pool, in the bucket of its status."""
         if request.request_id in self._requests:
             raise ValueError(f"duplicate request id {request.request_id}")
-        observer = request.__dict__.get("_status_observer")
-        if observer is not None and getattr(observer, "__self__",
-                                            None) is not self:
-            raise ValueError(
-                f"request {request.request_id} is still tracked by another "
-                "pool; evict it there before re-submitting"
-            )
         self._requests[request.request_id] = request
         self._buckets[request.status][request.request_id] = request
         self._sorted[request.status] = None
-        request.__dict__["_status_observer"] = self._observe_status
 
     def submit_all(self, requests: Iterable[InferenceRequest]) -> None:
         """Add several requests to the pool."""
@@ -132,6 +105,26 @@ class RequestPool:
     def get(self, request_id: int) -> InferenceRequest:
         """Look up one request by id."""
         return self._requests[request_id]
+
+    def transition(self, request: InferenceRequest,
+                   status: RequestStatus) -> None:
+        """Move a pooled ``request`` to ``status``.
+
+        The only way a pooled request's status changes, so the buckets
+        cannot drift from ``request.status``.  Raises ``KeyError`` for a
+        request this pool does not hold (never submitted, or evicted or
+        retired since).
+        """
+        rid = request.request_id
+        if self._requests.get(rid) is not request:
+            raise KeyError(f"request {rid} is not in this pool")
+        old = request.status
+        if old is status:
+            return
+        self._leave(request, old)
+        request.status = status
+        self._buckets[status][rid] = request
+        self._sorted[status] = None
 
     # ------------------------------------------------------------------
     # Status views.
@@ -190,12 +183,11 @@ class RequestPool:
         return done
 
     def evict(self, request_id: int) -> InferenceRequest:
-        """Remove a request in any status, detaching its observer.
+        """Remove a request in any status.
 
         This is the supported way to hand a request to another pool (or
-        drop it entirely, e.g. preempting to a different device's pool):
-        after eviction the request carries no stale callback, so its
-        later status transitions cannot corrupt this pool's buckets.
+        drop it entirely): once evicted, :meth:`transition` on it raises
+        here, and its status is a plain field until a pool takes it.
         """
         request = self._requests.get(request_id)
         if request is None:

@@ -16,6 +16,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Sequence
 
 from repro.serving.paging import PagedKvAllocator
+from repro.serving.pool import RequestPool
 from repro.serving.request import InferenceRequest, RequestStatus
 
 
@@ -105,7 +106,11 @@ class PreemptingAllocatorPool:
                    key=lambda r: order.get(r.request_id, -1))
 
     def preempt(self, victim: InferenceRequest) -> PreemptionEvent:
-        """Evict one running request's KV cache."""
+        """Evict one running request's KV cache.
+
+        Frees the blocks and records the restore cost; moving the victim
+        back to ``WAITING`` is its request pool's job.
+        """
         channel = victim.channel if victim.channel is not None else 0
         blocks = self.allocators[channel].release(victim.request_id)
         kv_bytes = victim.seq_len * self.kv_bytes_per_token
@@ -114,7 +119,6 @@ class PreemptingAllocatorPool:
             restore = self.costs.swap_cycles(kv_bytes)
         else:
             restore = victim.seq_len * self.costs.recompute_cycles_per_token
-        victim.status = RequestStatus.WAITING
         event = PreemptionEvent(
             request_id=victim.request_id,
             at_tokens=victim.generated,
@@ -127,9 +131,11 @@ class PreemptingAllocatorPool:
         return event
 
     def grow(self, request: InferenceRequest,
-             running: Sequence[InferenceRequest]) -> bool:
+             running: Sequence[InferenceRequest],
+             request_pool: RequestPool) -> bool:
         """Grow ``request``'s allocation, preempting others if needed.
 
+        Each victim is moved back to ``WAITING`` in ``request_pool``.
         Returns ``True`` on success; ``False`` if even after evicting all
         other requests on the channel the allocation cannot fit (the
         request itself is then the only occupant and genuinely too large).
@@ -142,6 +148,7 @@ class PreemptingAllocatorPool:
             if victim is None:
                 return False
             self.preempt(victim)
+            request_pool.transition(victim, RequestStatus.WAITING)
         allocator.allocate(request.request_id, request.seq_len)
         return True
 
@@ -188,7 +195,8 @@ def run_with_preemption(scheduler_pool, device, requests,
                                                 request.seq_len):
                 allocators[channel].allocate(request.request_id,
                                              request.seq_len)
-                request.begin_generation(channel)
+                request.channel = channel
+                scheduler_pool.transition(request, RequestStatus.RUNNING)
                 pool.note_admission(request)
                 restore_penalty += pool.restore_cost(request.request_id)
         batch = scheduler_pool.running()
@@ -204,9 +212,10 @@ def run_with_preemption(scheduler_pool, device, requests,
         for request in batch:
             request.advance(1)
             tokens += 1
-            if not request.is_finished:
-                if not pool.grow(request, batch):
-                    # Cannot ever fit: finish early (degenerate case).
-                    request.generated = request.output_len
-                    request.status = RequestStatus.DONE
+            if request.is_finished:
+                scheduler_pool.transition(request, RequestStatus.DONE)
+            elif not pool.grow(request, batch, scheduler_pool):
+                # Cannot ever fit: finish early (degenerate case).
+                request.generated = request.output_len
+                scheduler_pool.transition(request, RequestStatus.DONE)
     return now, tokens, pool

@@ -3,13 +3,15 @@
 Requests arrive with an input (prompt) length and a target output length
 (known from the dataset trace).  A request moves through:
 
-``WAITING`` (queued in the request pool) -> ``PREFILL`` (summarization
-phase on the standalone NPUs) -> ``RUNNING`` (generation phase on the
-NeuPIMs device, one token per iteration) -> ``DONE``.
+``WAITING`` (queued in the request pool until admitted) -> ``RUNNING``
+(generation phase on the NeuPIMs device, one token per iteration) ->
+``DONE``.  A preempted or retried request drops back to ``WAITING``.
 
 The paper's Figure 7 request-pool table tracks exactly these fields:
 request id, input length, generated-token count, assigned PIM channel and
-status.
+status.  The pool owns the status of every request it holds: it changes
+only through :meth:`~repro.serving.pool.RequestPool.transition`, which
+keeps the pool's per-status buckets exact.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Optional
 
 class RequestStatus(Enum):
     WAITING = "wait"
-    PREFILL = "prefill"
     RUNNING = "run"
     DONE = "done"
 
@@ -67,12 +68,6 @@ class InferenceRequest:
         if self.generated < 0 or self.generated > self.output_len:
             raise ValueError("generated out of range")
 
-    def __getstate__(self) -> dict:
-        # The status observer points at a live pool; never serialize it.
-        state = self.__dict__.copy()
-        state.pop("_status_observer", None)
-        return state
-
     @property
     def seq_len(self) -> int:
         """Current context length (KV-cache entries): prompt + generated."""
@@ -83,46 +78,13 @@ class InferenceRequest:
         return self.generated >= self.output_len
 
     def advance(self, tokens: int = 1) -> None:
-        """Record ``tokens`` newly generated tokens."""
+        """Record ``tokens`` newly generated tokens.
+
+        Only counts: a request that reaches ``output_len`` stays in its
+        status until its pool transitions it to ``DONE``.
+        """
         if tokens <= 0:
             raise ValueError("tokens must be positive")
         if self.is_finished:
             raise RuntimeError(f"request {self.request_id} already finished")
         self.generated = min(self.output_len, self.generated + tokens)
-        if self.is_finished:
-            self.status = RequestStatus.DONE
-
-    def begin_generation(self, channel: int) -> None:
-        """Transition into the generation phase on ``channel``."""
-        self.status = RequestStatus.RUNNING
-        self.channel = channel
-
-
-class _StatusHook:
-    """Set-only data descriptor on :attr:`InferenceRequest.status`.
-
-    The request pool indexes requests by status, but transitions
-    (begin_generation, advance, preemption demotions) happen directly on
-    request objects all over the serving stack.  Writes to ``status`` land
-    here and notify the owning pool's ``_status_observer`` when the value
-    changes, so its per-status buckets stay exact without rescans.  With
-    no ``__get__``, reads come straight from the instance dict, and writes
-    to every other field never reach this hook.
-    """
-
-    __slots__ = ()
-
-    def __set__(self, request: InferenceRequest,
-                value: RequestStatus) -> None:
-        state = request.__dict__
-        old = state.get("status")
-        state["status"] = value
-        if old is not value:
-            observer = state.get("_status_observer")
-            if observer is not None:
-                observer(request, old, value)
-
-
-# Installed after the dataclass is built: its ``__init__`` keeps the
-# WAITING default and assigns ``status`` through the hook.
-InferenceRequest.status = _StatusHook()  # type: ignore[assignment]

@@ -261,7 +261,8 @@ class IterationScheduler:
                 except OutOfMemoryError:
                     request.channel = None
                     continue
-            request.begin_generation(channel)
+            request.channel = channel
+            self.pool.transition(request, RequestStatus.RUNNING)
             if self.load_tracker is not None:
                 self.load_tracker.add(request)
             if resilience is not None and resilience.preempting is not None:
@@ -316,9 +317,10 @@ class IterationScheduler:
         """Detach ``request`` from this node's stack without an outcome.
 
         The failover extraction path: frees the KV allocation, drops the
-        load-tracker contribution, evicts from the pool (detaching the
-        status observer so another pool may accept the request) and
-        resets it to a channel-less ``WAITING`` state.  Unlike
+        load-tracker contribution, evicts from the pool (after which this
+        pool's :meth:`~repro.serving.pool.RequestPool.transition` rejects
+        it) and resets it to a channel-less ``WAITING`` state, written as
+        a plain field since no pool holds the request any more.  Unlike
         :meth:`_terminate` no terminal outcome is recorded — the request
         lives on, on some other node.
         """
@@ -389,12 +391,13 @@ class IterationScheduler:
         if self.load_tracker is not None and \
                 request.status is RequestStatus.RUNNING:
             self.load_tracker.remove(request)
+        self.pool.evict(rid)
         if resilience.preempting is not None and \
                 request.channel is not None:
             resilience.preempting.preempt(request)
-        else:
-            request.status = RequestStatus.WAITING
-        self.pool.evict(rid)
+        # Evicted, so the demotion is a plain field write; the resubmit
+        # below files the request under WAITING.
+        request.status = RequestStatus.WAITING
         request.channel = None
         resilience.attempts[rid] = attempt
         arrival = self._now + resilience.retry_delay(attempt)
@@ -522,7 +525,7 @@ class IterationScheduler:
         if events is not None and events.active:
             events.emit(WindowCommitted(time=self._now,
                                         iterations=state.shift))
-        state.sync(self.allocators, self.load_tracker)
+        state.sync(self.pool, self.allocators, self.load_tracker)
 
     def _grouped_steps(self, batch: List[InferenceRequest], admitted: int,
                        retired: int, max_steps: int,
@@ -634,6 +637,8 @@ class IterationScheduler:
                 observe(request, end)
         for request in batch:
             request.advance(1)
+            if request.is_finished:
+                self.pool.transition(request, RequestStatus.DONE)
             if self.load_tracker is not None:
                 self.load_tracker.update(request)
             if self.allocators is not None and request.channel is not None:
@@ -662,7 +667,7 @@ class IterationScheduler:
                         # the paper's experiments are sized to avoid
                         # this).
                         request.generated = request.output_len
-                        request.status = RequestStatus.DONE
+                        self.pool.transition(request, RequestStatus.DONE)
                     events = self.events
                     if events is not None and events.active:
                         events.emit(KvPressure(

@@ -295,14 +295,27 @@ class TestGroupingPrimitives:
 
     def test_state_sync_applies_tokens_and_finishes(self):
         reqs = self._requests()
+        pool = RequestPool()
+        pool.submit_all(reqs)
         state = GroupedScheduleState(reqs, plan=None)
         assert state.steps_until_finish() == 4
         for _ in range(4):
             state.advance()
-        state.sync(None, None)
+        state.sync(pool, None, None)
         assert [r.generated for r in reqs] == [4, 4, 4, 4]
         assert reqs[2].status is RequestStatus.DONE
         assert reqs[0].status is RequestStatus.RUNNING
+        # The finished class moved buckets through the pool.
+        assert pool.finished() == [reqs[2]]
+        assert pool.running() == [reqs[0], reqs[1], reqs[3]]
+
+    def test_state_sync_rejects_a_pool_without_the_members(self):
+        reqs = self._requests()
+        state = GroupedScheduleState(reqs, plan=None)
+        for _ in range(4):
+            state.advance()
+        with pytest.raises(KeyError):
+            state.sync(RequestPool(), None, None)
 
     def test_mha_stage_matches_class_stage(self):
         device = NeuPimsDevice(GPT3_7B, tp=4, layers_resident=2)

@@ -48,8 +48,9 @@ class TestRequestPool:
         pool = RequestPool()
         request = req(1, output_len=1)
         pool.submit(request)
-        request.begin_generation(0)
+        pool.transition(request, RequestStatus.RUNNING)
         request.advance()
+        pool.transition(request, RequestStatus.DONE)
         done = pool.retire_finished()
         assert [r.request_id for r in done] == [1]
         assert len(pool) == 0
@@ -59,7 +60,8 @@ class TestRequestPool:
         for i, channel in enumerate((0, 0, 1)):
             request = req(i)
             pool.submit(request)
-            request.begin_generation(channel)
+            request.channel = channel
+            pool.transition(request, RequestStatus.RUNNING)
         assert pool.channel_occupancy(2) == [2, 1]
 
     def test_format_table_renders_rows(self):
@@ -70,47 +72,62 @@ class TestRequestPool:
 
 
 class TestObserverLifecycle:
-    """Status observers must die with the pool membership (no stale
-    callbacks after eviction/retirement; no silent cross-pool capture)."""
+    """Only the pool that holds a request may transition it: membership
+    ends at eviction or retirement, and a handoff moves it to the new
+    pool."""
 
-    def test_evict_detaches_observer(self):
+    def test_evict_then_transition_raises(self):
         pool = RequestPool()
         request = req(1)
         pool.submit(request)
         evicted = pool.evict(1)
         assert evicted is request
         assert 1 not in pool
-        assert "_status_observer" not in request.__dict__
-        # Transitions after eviction cannot corrupt the old pool.
-        request.begin_generation(0)
-        assert pool.running() == []
+        with pytest.raises(KeyError):
+            pool.transition(request, RequestStatus.RUNNING)
+        assert request.status is RequestStatus.WAITING
+        assert pool.running() == [] and pool.waiting() == []
 
     def test_evict_unknown_id_raises(self):
         with pytest.raises(KeyError):
             RequestPool().evict(42)
 
-    def test_retire_detaches_observer(self):
+    def test_transition_of_unpooled_request_raises(self):
+        pool = RequestPool()
+        pool.submit(req(1))
+        # Never submitted, and a different object under a pooled id.
+        for stranger in (req(2), req(1)):
+            with pytest.raises(KeyError):
+                pool.transition(stranger, RequestStatus.RUNNING)
+            assert stranger.status is RequestStatus.WAITING
+        assert [r.request_id for r in pool.waiting()] == [1]
+
+    def test_retire_then_transition_raises(self):
         pool = RequestPool()
         request = req(1, output_len=1)
         pool.submit(request)
-        request.begin_generation(0)
+        pool.transition(request, RequestStatus.RUNNING)
         request.advance()
+        pool.transition(request, RequestStatus.DONE)
         [done] = pool.retire_finished()
-        assert "_status_observer" not in done.__dict__
+        assert done is request and 1 not in pool
+        with pytest.raises(KeyError):
+            pool.transition(done, RequestStatus.WAITING)
+        assert done.status is RequestStatus.DONE
 
-    def test_cross_pool_submit_requires_evict(self):
+    def test_cross_pool_handoff_old_pool_raises(self):
         first, second = RequestPool(), RequestPool()
         request = req(1)
         first.submit(request)
-        with pytest.raises(ValueError, match="another pool"):
-            second.submit(request)
-        # After eviction the handoff is clean and the new pool's buckets
-        # track subsequent transitions.
         first.evict(1)
         second.submit(request)
-        request.begin_generation(2)
+        # The old pool no longer holds the request; the new one tracks
+        # its transitions.
+        with pytest.raises(KeyError):
+            first.transition(request, RequestStatus.RUNNING)
+        second.transition(request, RequestStatus.RUNNING)
         assert [r.request_id for r in second.running()] == [1]
-        assert first.running() == []
+        assert first.running() == [] and first.waiting() == []
 
     def test_preemption_and_readmission_keep_buckets_exact(self):
         from repro.serving.paging import PagedKvConfig
@@ -123,32 +140,37 @@ class TestObserverLifecycle:
             PagedKvConfig(block_tokens=16, capacity_bytes=1 << 26),
             GPT3_7B, layers_resident=1)
         for request in (victim, survivor):
-            request.begin_generation(0)
+            request.channel = 0
+            pool.transition(request, RequestStatus.RUNNING)
             allocator.allocate(request.request_id, request.seq_len)
         preempting = PreemptingAllocatorPool([allocator], 1024)
         preempting.note_admission(victim)
         preempting.note_admission(survivor)
 
+        assert allocator.used_blocks == 4
         event = preempting.preempt(victim)
-        # The observer moved the victim back to the WAITING bucket.
+        # Preemption frees the KV blocks; the demotion is the pool's.
+        assert allocator.used_blocks == 4 - event.evicted_blocks == 2
+        assert allocator.ledger_consistent()
+        assert victim.status is RequestStatus.RUNNING
+        pool.transition(victim, RequestStatus.WAITING)
         assert [r.request_id for r in pool.waiting()] == [1]
         assert [r.request_id for r in pool.running()] == [2]
-        assert event.evicted_blocks > 0
-        assert not allocator.can_allocate(1, 0) or True  # blocks freed
-        assert allocator.ledger_consistent()
 
-        # Re-admission flows through the observer again.
+        # Re-admission moves the victim back to RUNNING.
         allocator.allocate(victim.request_id, victim.seq_len)
-        victim.begin_generation(0)
+        pool.transition(victim, RequestStatus.RUNNING)
         assert sorted(r.request_id for r in pool.running()) == [1, 2]
         assert pool.waiting() == []
 
-        # Retirement after re-admission detaches cleanly.
+        # Retirement after re-admission ends the pool's ownership.
         victim.generated = victim.output_len
-        victim.status = RequestStatus.DONE
+        pool.transition(victim, RequestStatus.DONE)
         [done] = pool.retire_finished()
         assert done.request_id == 1
-        assert "_status_observer" not in done.__dict__
+        assert 1 not in pool
+        with pytest.raises(KeyError):
+            pool.transition(done, RequestStatus.WAITING)
 
 
 class TestPoolViewsMatchScan:
@@ -181,11 +203,12 @@ class TestPoolViewsMatchScan:
     @settings(deadline=None)
     @given(ops=st.lists(st.tuples(
         st.sampled_from(["submit", "admit_head", "admit_other", "preempt",
-                         "evict", "finish", "retire", "retry"]),
+                         "evict", "finish", "retire", "retry", "stale"]),
         st.integers(0, 63), st.sampled_from(ARRIVALS)), max_size=80))
     def test_random_ops(self, ops):
         pool = RequestPool()
         next_id = 0
+        gone = []  # evicted or retired, never resubmitted
         for op, pick, arrival in ops:
             waiting = pool.waiting()
             running = pool.running()
@@ -194,26 +217,36 @@ class TestPoolViewsMatchScan:
                 pool.submit(req(next_id, arrival=arrival))
                 next_id += 1
             elif op == "admit_head" and waiting:
-                waiting[0].begin_generation(pick % 4)
+                waiting[0].channel = pick % 4
+                pool.transition(waiting[0], RequestStatus.RUNNING)
             elif op == "admit_other" and len(waiting) > 1:
-                waiting[1 + pick % (len(waiting) - 1)].begin_generation(0)
+                pool.transition(waiting[1 + pick % (len(waiting) - 1)],
+                                RequestStatus.RUNNING)
             elif op == "preempt" and running:
                 victim = running[pick % len(running)]
-                victim.status = RequestStatus.WAITING
+                pool.transition(victim, RequestStatus.WAITING)
                 victim.channel = None
             elif op == "evict" and members:
-                pool.evict(members[pick % len(members)].request_id)
+                gone.append(pool.evict(members[pick % len(members)]
+                                       .request_id))
             elif op == "finish" and running:
                 done = running[pick % len(running)]
                 done.advance(done.output_len - done.generated)
+                pool.transition(done, RequestStatus.DONE)
             elif op == "retire":
-                pool.retire_finished()
+                gone.extend(pool.retire_finished())
+            elif op == "stale" and gone:
+                stale = gone[pick % len(gone)]
+                status = stale.status
+                with pytest.raises(KeyError):
+                    pool.transition(stale, RequestStatus.RUNNING)
+                assert stale.status is status
             elif op == "retry" and members:
-                # The scheduler's retry: demote, evict, re-base the arrival
-                # later, resubmit.
+                # The scheduler's retry: evict, demote the plain field,
+                # re-base the arrival later, resubmit.
                 request = members[pick % len(members)]
-                request.status = RequestStatus.WAITING
                 pool.evict(request.request_id)
+                request.status = RequestStatus.WAITING
                 request.channel = None
                 request.generated = 0
                 request.arrival_time += 1.0 + arrival
@@ -229,7 +262,7 @@ class TestPoolViewsMatchScan:
         view = pool._sorted[RequestStatus.WAITING]
         assert [r.request_id for r in arrived] == [0, 1, 2, 3, 4, 5]
         for request in arrived[:3]:
-            request.begin_generation(0)
+            pool.transition(request, RequestStatus.RUNNING)
         assert pool._sorted[RequestStatus.WAITING] is view
         assert [r.request_id for r in pool.waiting(now=2.0)] == [3, 4, 5]
         assert pool.next_arrival() is arrived[3]

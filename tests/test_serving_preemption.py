@@ -28,6 +28,12 @@ def running_request(rid, seq=16, channel=0, output_len=64):
     return request
 
 
+def pooled(*requests):
+    pool = RequestPool()
+    pool.submit_all(requests)
+    return pool
+
+
 class TestPreemptionCosts:
     def test_swap_cycles_linear_in_bytes(self):
         costs = PreemptionCosts(swap_bandwidth=100e9)
@@ -47,7 +53,7 @@ class TestPreemptingPool:
                                        GPT3_7B.kv_bytes_per_token())
         request = running_request(0)
         allocator.allocate(0, request.seq_len)
-        assert pool.grow(request, [request])
+        assert pool.grow(request, [request], pooled(request))
         assert pool.preemption_count == 0
 
     def test_grow_preempts_youngest(self):
@@ -61,10 +67,13 @@ class TestPreemptingPool:
             pool.note_admission(request)
         # Old request grows to need 3 blocks: young must be evicted.
         old.generated = 33
-        assert pool.grow(old, [old, young])
+        requests = pooled(old, young)
+        assert pool.grow(old, [old, young], requests)
         assert pool.preemption_count == 1
         assert pool.events[0].request_id == 1
         assert young.status is RequestStatus.WAITING
+        assert requests.waiting() == [young]
+        assert requests.running() == [old]
 
     def test_grow_fails_when_alone_and_too_big(self):
         allocator = small_allocator(blocks=2)
@@ -73,7 +82,7 @@ class TestPreemptingPool:
         request = running_request(0, seq=16)
         allocator.allocate(0, 16)
         request.generated = 1000  # needs far more than 2 blocks
-        assert not pool.grow(request, [request])
+        assert not pool.grow(request, [request], pooled(request))
 
     def test_restore_cost_recompute_scales_with_context(self):
         allocator = small_allocator(blocks=4)
@@ -141,9 +150,9 @@ class TestResilientReadmission:
 
     A randomized Poisson-style trace under a deliberately tight KV
     budget forces mid-generation OOM; the scheduler must preempt the
-    victim through :class:`PreemptingAllocatorPool`, detach it cleanly
-    from the pool (observer removed on evict, reattached on resubmit)
-    and re-admit it without ever double-allocating a block.
+    victim through :class:`PreemptingAllocatorPool`, evict it from the
+    pool, resubmit it as WAITING and re-admit it without ever
+    double-allocating a block.
     """
 
     def _run_randomized(self, seed):
@@ -172,15 +181,15 @@ class TestResilientReadmission:
         pool = RequestPool()
         pool.submit_all(requests)
         bus = EventBus()
-        observer_checks = []
+        membership_checks = []
 
         def on_retry(event):
-            # By emission time the victim is back in the pool: evict
-            # detached the old observer, submit reattached a fresh one.
+            # By emission time the victim is back in the pool, filed
+            # under WAITING by the resubmit after its eviction.
             victim = pool.get(event.request_id)
-            observer_checks.append(
-                "_status_observer" in victim.__dict__
-                and victim.status is RequestStatus.WAITING)
+            membership_checks.append(
+                victim.status is RequestStatus.WAITING
+                and any(r is victim for r in pool.waiting()))
             assert allocator.ledger_consistent()
 
         bus.subscribe(RequestRetried, on_retry)
@@ -188,14 +197,14 @@ class TestResilientReadmission:
             pool, lambda batch: 1000.0, max_batch_size=4,
             allocators=[allocator], events=bus, resilience=runtime)
         scheduler.run(max_iterations=5000)
-        return scheduler, runtime, preempting, allocator, observer_checks
+        return scheduler, runtime, preempting, allocator, membership_checks
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pressure_retries_then_drains_cleanly(self, seed):
         scheduler, runtime, preempting, allocator, checks = \
             self._run_randomized(seed)
         # The tight budget must actually bite, and every retry event
-        # must have seen a reattached observer on a WAITING victim.
+        # must have seen the victim pooled again as WAITING.
         assert runtime.counters["retries"] > 0
         assert preempting.preemption_count > 0
         assert checks and all(checks)
@@ -206,12 +215,19 @@ class TestResilientReadmission:
         assert allocator.ledger_consistent()
         assert allocator.used_blocks == 0
 
-    def test_evict_detaches_and_resubmit_reattaches(self):
+    def test_evict_then_resubmit_allows_transitions(self):
         pool = RequestPool()
         request = InferenceRequest(0, input_len=8, output_len=8)
         pool.submit(request)
-        assert "_status_observer" in request.__dict__
+        pool.transition(request, RequestStatus.RUNNING)
+        assert pool.running() == [request]
         pool.evict(0)
-        assert "_status_observer" not in request.__dict__
+        assert 0 not in pool
+        with pytest.raises(KeyError):
+            pool.transition(request, RequestStatus.WAITING)
+        # The retry path's plain demotion, then the resubmit.
+        request.status = RequestStatus.WAITING
         pool.submit(request)
-        assert "_status_observer" in request.__dict__
+        assert 0 in pool and pool.waiting() == [request]
+        pool.transition(request, RequestStatus.RUNNING)
+        assert pool.running() == [request] and pool.waiting() == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.serving.pool import RequestPool
 from repro.serving.request import InferenceRequest, RequestStatus
 
 
@@ -30,11 +31,18 @@ class TestLifecycle:
         assert request.generated == 1
         assert not request.is_finished
 
-    def test_advance_to_completion_sets_done(self):
-        request = InferenceRequest(0, input_len=10, output_len=2)
+    def test_advance_to_completion_leaves_status_to_pool(self):
+        request = InferenceRequest(0, input_len=10, output_len=2,
+                                   status=RequestStatus.RUNNING)
+        pool = RequestPool()
+        pool.submit(request)
         request.advance(2)
         assert request.is_finished
+        # advance only counts tokens; the pool moves the request to DONE.
+        assert request.status is RequestStatus.RUNNING
+        pool.transition(request, RequestStatus.DONE)
         assert request.status is RequestStatus.DONE
+        assert pool.finished() == [request]
 
     def test_advance_clamps_at_output_len(self):
         request = InferenceRequest(0, input_len=10, output_len=2)
@@ -51,11 +59,16 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             request.advance(0)
 
-    def test_begin_generation_sets_channel_and_status(self):
+    def test_transition_to_running_keeps_channel(self):
         request = InferenceRequest(0, input_len=10, output_len=5)
-        request.begin_generation(channel=7)
+        pool = RequestPool()
+        pool.submit(request)
+        request.channel = 7
+        pool.transition(request, RequestStatus.RUNNING)
         assert request.status is RequestStatus.RUNNING
         assert request.channel == 7
+        assert pool.running() == [request]
+        assert pool.waiting() == []
 
     def test_new_request_waiting(self):
         request = InferenceRequest(0, input_len=1, output_len=1)

@@ -25,7 +25,7 @@ from repro.serving.events import (FaultInjected, IterationCompleted,
 from repro.serving.grouping import GroupedExecutor
 from repro.serving.paging import PagedKvAllocator, PagedKvConfig
 from repro.serving.pool import RequestPool
-from repro.serving.request import InferenceRequest
+from repro.serving.request import InferenceRequest, RequestStatus
 from repro.serving.scheduler import IterationScheduler
 
 LATENCY = 1000.0
@@ -252,7 +252,8 @@ class TestRetryExhaustion:
     A :class:`ChannelStall` covering every channel for the whole run
     guarantees each attempt blows its deadline, so every request walks
     the full retry ladder and must land in ``timed_out`` exactly once —
-    no double-retire, and the pool observer is detached on the way out.
+    no double-retire, and the pool lets go of every request on the way
+    out.
     The behaviour must be identical under ``grouping="auto"`` and
     ``"off"`` (grouped windows stop at every resilience boundary).
     """
@@ -314,11 +315,16 @@ class TestRetryExhaustion:
         assert result.resilience["timeouts"] == 6
         assert result.resilience.get("completed", 0) == 0
 
-        # The pool drained and detached its status observers, so stale
-        # callbacks cannot corrupt the buckets after retirement.
-        assert len(session.scheduler.pool) == 0
+        # The pool drained and holds none of the requests any more, so
+        # it rejects their transitions and leaves their status alone.
+        pool = session.scheduler.pool
+        assert len(pool) == 0
         for request in submitted:
-            assert "_status_observer" not in request.__dict__
+            assert request.request_id not in pool
+            status = request.status
+            with pytest.raises(KeyError):
+                pool.transition(request, RequestStatus.DONE)
+            assert request.status is status
 
     def test_grouping_modes_agree_bit_identically(self):
         auto = Session(self._spec("auto")).run()
