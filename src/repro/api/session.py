@@ -384,7 +384,7 @@ class Session:
                 self._latency_acc += latency
                 return latency
             return GroupedExecutor(
-                lambda batch: system.prepare_class_plan(batch),
+                lambda table: system.prepare_class_plan(table.batch),
                 run_system_plan)
         if isinstance(self.device, NeuPimsDevice):
             device = self.device
@@ -395,8 +395,7 @@ class Session:
                 self._accumulate(result)
                 return result.latency
             return GroupedExecutor(
-                lambda batch: device.prepare_class_plan(batch),
-                run_device_plan)
+                lambda table: device.table_plan(table), run_device_plan)
         return None
 
     def _executor(self):

@@ -28,9 +28,10 @@ Execution composition depends on the feature flags:
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.binpack import (ChannelLoadTracker, greedy_min_load_assign,
                                 round_robin_assign)
@@ -42,9 +43,9 @@ from repro.core.partition import sub_batch_halves
 from repro.model.layers import ffn_gemms, projection_gemm, qkv_generation_gemm
 from repro.model.spec import ModelSpec
 from repro.npu.chip import NpuChip
-from repro.serving.grouping import (DeviceClassPlan, MhaHistogram,
-                                    merge_histograms, mha_histogram,
-                                    shift_histogram)
+from repro.serving.grouping import (ClassTable, DeviceClassPlan,
+                                    MhaHistogram, merge_histograms,
+                                    mha_histogram, shift_histogram)
 from repro.serving.request import InferenceRequest
 
 #: A multiple of 1/32 in [0, 2**32) is an integer number of 1/32 units
@@ -78,17 +79,115 @@ def _class_histogram(channels: Sequence[Tuple[int, List[int]]]
     return tuple(hist)
 
 
-def _profile(hist: MhaHistogram):
-    """``(requests per occupied channel, lowest seq_len, highest seq_len,
-    one (seq_len, count) per occupied residue modulo _PERIODS[-1])``."""
+def _profile(hist: MhaHistogram, period: int = _PERIODS[-1]):
+    """``({channel: requests}, lowest seq_len, highest seq_len,
+    {seq_len mod period: requests})``: what a stage needs to step in
+    closed form (`NeuPimsDevice._advance`); ``period`` divides
+    ``_PERIODS[-1]``."""
     counts: Dict[int, int] = {}
-    residues: Dict[int, List[int]] = {}
+    residues: Dict[int, int] = {}
     for channel, seq_len, count in hist:
         counts[channel] = counts.get(channel, 0) + count
-        residues.setdefault(seq_len % _PERIODS[-1], [seq_len, 0])[1] += count
-    seq_lens = [seq_len for _, seq_len, _ in hist]
-    return (tuple(counts.values()), min(seq_lens), max(seq_lens),
-            tuple(map(tuple, residues.values())))
+        residue = seq_len % period
+        residues[residue] = residues.get(residue, 0) + count
+    seq_lens = list(map(itemgetter(1), hist))
+    return counts, min(seq_lens), max(seq_lens), residues
+
+
+def _bump(counts: Dict, key, step: int) -> int:
+    """Add ``step`` to ``counts[key]``, dropping the key at zero."""
+    count = counts.get(key, 0) + step
+    if count:
+        counts[key] = count
+    else:
+        del counts[key]
+    return count
+
+
+class _LiveSplit:
+    """One device's view of a live :class:`ClassTable`: Algorithm 3's
+    split of every channel, the two sub-batch histograms and their basis
+    MHA stages, over seq_lens relative to the table's offset.
+
+    ``lens``, ``members`` and ``halves`` hold each channel's relative
+    seq_lens in member id order, its size and its first-half size as last
+    planned.  Per sub-batch: ``hist`` is the canonical histogram as a
+    sorted list, and a basis is ``[offset, stage]`` (stage ``None`` when
+    the sub-batch is empty) or ``None`` while unknown, as after a rebuild
+    until a canonical pass supplies it.  A known basis comes with its
+    profile (`_profile`'s members per channel and per seq_len residue)
+    and, while a plan applies deltas, with ``sums``, the basis being
+    updated as ``[loads, raw, softmax, KV bytes]``.
+    """
+
+    def __init__(self, table: ClassTable, channel_pool: int) -> None:
+        self.table, self.generation = table, table.generation
+        self.lens: Dict[int, List[int]] = {}
+        self.members = [0] * channel_pool
+        self.halves = [0] * channel_pool
+        self.hist: Tuple[List[Tuple[int, int, int]], ...] = ([], [])
+        self.sizes, self.changed = [0, 0], [True, True]
+        self.spans: List[Tuple[int, int]] = [(0, 0), (0, 0)]
+        self.bases: List[Optional[list]] = [None, None]
+        self.profiles: List[Optional[tuple]] = [None, None]
+        self.sums: List[Optional[list]] = [None, None]
+        self.plan: Optional[DeviceClassPlan] = None
+        #: the bases installed with `plan`
+        self.installed: List[Optional[list]] = [None, None]
+
+    def forget(self, half: int) -> None:
+        """Sub-batch ``half``'s basis is unknown from here on."""
+        self.bases[half] = self.profiles[half] = self.sums[half] = None
+
+    def change(self, half: int, channel: int, relative: int, step: int,
+               contrib: Memo) -> None:
+        """Add ``step`` members (remove, if negative) to sub-batch
+        ``half`` at ``relative`` on ``channel``."""
+        self.changed[half] = True
+        self.sizes[half] += step
+        hist = self.hist[half]
+        at = bisect_left(hist, (channel, relative))
+        if at < len(hist) and hist[at][:2] == (channel, relative):
+            count = hist[at][2] + step
+            hist[at:at + 1] = [(channel, relative, count)] if count else []
+        else:
+            hist.insert(at, (channel, relative, step))
+        if self.profiles[half] is None:
+            return
+        counts, residues = self.profiles[half]
+        _bump(residues, relative % _PERIODS[-1], step)
+        estimate, load, softmax, kv_bytes = \
+            contrib[relative + self.table.offset]
+        sums = self.sums[half]
+        if _bump(counts, channel, step):
+            sums[0][channel] = sums[0].get(channel, 0.0) + step * load
+        else:
+            del sums[0][channel]
+        sums[1] += step * estimate
+        sums[2] += step * softmax
+        sums[3] += step * kv_bytes
+
+    def restate(self, half: int, channel: int, part: List[int],
+                contrib: Memo) -> None:
+        """Make the relative seq_lens ``part`` sub-batch ``half``'s
+        members on ``channel``: without a basis to keep up the rows are
+        replaced, with one each class that changed is changed."""
+        hist = self.hist[half]
+        start = bisect_left(hist, (channel,))
+        end = bisect_left(hist, (channel + 1,), start)
+        old, rows = hist[start:end], list(_class_histogram(((channel, part),)))
+        if self.profiles[half] is None:
+            if old != rows:
+                self.sizes[half] += len(part) - sum(row[2] for row in old)
+                hist[start:end] = rows
+                self.changed[half] = True
+            return
+        steps = {relative: -count for _, relative, count in old}
+        for _, relative, count in rows:
+            steps[relative] = steps.get(relative, 0) + count
+        for relative, step in steps.items():
+            if step:
+                self.change(half, channel, relative, step, contrib)
 
 
 @dataclass
@@ -230,6 +329,8 @@ class NeuPimsDevice:
         self._affine_steps: Optional[Tuple[float, ...]] = None
         self._period, self._affine_ok = 1, True
         self._bases: list = [None]
+        # The split of the live class table planned last (`table_plan`).
+        self._live: Optional[_LiveSplit] = None
         # Config-derived MHA constants, hoisted out of the per-request loop.
         overhead = 1.0
         if not self.config.composite_isa:
@@ -402,11 +503,12 @@ class NeuPimsDevice:
 
     def _sub_batch_stage(self, plan: DeviceClassPlan, index: int,
                          hist: MhaHistogram, shift: int) -> MhaStageTiming:
-        """The MHA stage of the plan's ``index``-th histogram after
-        ``shift`` steps: closed-form from the window's basis (a canonical
-        pass at an earlier shift) where `_affine` vouches for every
-        seq_len involved, else a canonical pass that becomes the basis
-        (DESIGN.md §5)."""
+        """The MHA stage of the plan's ``index``-th histogram advanced by
+        ``shift`` (the plan's offset included): closed-form from the
+        window's basis (a stage at an earlier shift, installed by
+        `table_plan` or from a canonical pass) where `_affine` vouches for
+        every seq_len involved, else a canonical pass that becomes the
+        basis (DESIGN.md §5)."""
         bases = self._bases
         if bases[0] is not plan:
             bases = self._bases = [plan, None, None]
@@ -414,24 +516,46 @@ class NeuPimsDevice:
         if basis is not None and self.counter_model is None \
                 and plan.batch_size <= _EXACT_BATCH:
             if basis[2] is None:
-                basis[2] = _profile(hist)
-            start, stage, (counts, low, high, residues) = basis
-            if start <= shift and self._affine(low + start, high + shift):
-                contrib = self._class_contrib
-                then, now = contrib[low + start], contrib[low + shift]
-                load, size = now[1] - then[1], sum(counts)
-                softmax = stage.softmax_cycles
-                for seq_len, count in residues:
-                    softmax += count * (contrib[seq_len + shift][2]
-                                        - contrib[seq_len + start][2])
-                return self._stage(
-                    {channel: base + load * count for (channel, base), count
-                     in zip(stage.loads.items(), counts)},
-                    stage.raw_total + (now[0] - then[0]) * size, softmax,
-                    stage.internal_bytes + (now[3] - then[3]) * size)
+                basis[2] = _profile(hist, self._residue_period())
+            sums = self._advance(*basis, shift)
+            if sums is not None:
+                return self._stage(*sums)
         stage = self.mha_stage_classes(shift_histogram(hist, shift))
         bases[index + 1] = [shift, stage, basis and basis[2]]
         return stage
+
+    def _advance(self, start: int, stage: MhaStageTiming, profile,
+                 shift: int) -> Optional[list]:
+        """``stage`` (over the seq_lens of ``profile`` advanced by
+        ``start``) advanced to ``shift`` in O(channels + residues), as
+        `_stage`'s ``[loads, raw, softmax, KV bytes]``, or ``None`` where
+        `_affine` does not vouch for the seq_lens crossed.  A residue's
+        softmax step is read at its lowest seq_len in ``[low, high]``:
+        under the guard every member of a residue modulo `_period` steps
+        alike (the profile's residues are modulo a multiple of it)."""
+        counts, low, high, residues = profile
+        if not (start <= shift and self._affine(low + start, high + shift)):
+            return None
+        contrib = self._class_contrib
+        then, now = contrib[low + start], contrib[low + shift]
+        load, size = now[1] - then[1], sum(counts.values())
+        softmax = stage.softmax_cycles
+        period = self._period
+        for residue, count in residues.items():
+            seq_len = low + (residue - low) % period
+            softmax += count * (contrib[seq_len + shift][2]
+                                - contrib[seq_len + start][2])
+        loads = stage.loads
+        return [{channel: loads[channel] + load * count
+                 for channel, count in counts.items()},
+                stage.raw_total + (now[0] - then[0]) * size, softmax,
+                stage.internal_bytes + (now[3] - then[3]) * size]
+
+    def _residue_period(self) -> int:
+        """The period softmax residues may be grouped by: `_period` once
+        the guard has seeded its steps (it never re-seeds), else the
+        longest one it tries."""
+        return _PERIODS[-1] if self._affine_steps is None else self._period
 
     def _affine(self, low: int, high: int) -> bool:
         """Whether the class values over seq_lens ``[low, high]`` are
@@ -522,6 +646,144 @@ class NeuPimsDevice:
                         [(c, lens[half:]) for (c, lens), half in pairs]))))
         return DeviceClassPlan(size, _class_histogram(channels))
 
+    def table_plan(self, table: ClassTable) -> DeviceClassPlan:
+        """The plan of a live class table's batch: equal to
+        :meth:`prepare_class_plan` on ``table.batch`` (its seq_lens kept
+        relative to the table's offset), but paid per delta.
+
+        Members placed nowhere yet are placed first, exactly as
+        :meth:`prepare_class_plan` would, and the table rebuilt.  The
+        split continues from the last plan of the same table generation
+        (`_apply`).  The sub-batch basis stages step to the table's
+        offset in closed form (`_advance`), follow the deltas by exact
+        add/subtract and are installed as the window's bases, while
+        `_exact_sums` holds, no counter model is attached and the batch
+        is at most `_EXACT_BATCH`; otherwise the split is rebuilt (the
+        same add path) on every plan and the window's canonical passes
+        supply the bases.
+        """
+        batch = table.batch
+        if not batch:
+            raise ValueError("empty batch")
+        if table.unplaced or table.channel_bound > self.channel_pool:
+            self._ensure_assigned(batch)
+            table.rebuild()
+        live, dirty = self._live, table.dirty
+        table.dirty = set()
+        if live is None or live.table is not table \
+                or live.generation != table.generation \
+                or not (self._exact_sums and self.counter_model is None
+                        and len(batch) <= _EXACT_BATCH):
+            live = self._live = _LiveSplit(table, self.channel_pool)
+            dirty |= table.occupied()
+        elif dirty:
+            window = self._bases if self._bases[0] is live.plan else None
+            for half in (0, 1):
+                basis = window and window[half + 1]
+                if basis is not None and basis is not live.installed[half]:
+                    # A canonical pass of the window: adopt it.
+                    start, stage, profile = basis
+                    counts, _, _, residues = \
+                        profile or _profile(live.hist[half])
+                    live.bases[half] = [start, stage]
+                    live.profiles[half] = (dict(counts), dict(residues))
+                basis = live.bases[half]
+                if basis is None:
+                    continue
+                start, stage = basis
+                if stage is None:
+                    live.sums[half] = [{}, 0.0, 0.0, 0.0]
+                else:  # deltas apply at the table's offset
+                    counts, residues = live.profiles[half]
+                    live.sums[half] = self._advance(
+                        start, stage, (counts, *live.spans[half], residues),
+                        table.offset)
+                    if live.sums[half] is None:
+                        live.forget(half)
+        if dirty:
+            self._apply(live, dirty)
+        return self._install(live, len(batch))
+
+    def _apply(self, live: _LiveSplit, dirty: Set[int]) -> None:
+        """Bring ``live``'s split up to its table (Algorithm 3).
+
+        A dirty channel's two halves are restated; any other channel
+        whose half moved (``turn`` carries across channels, so a parity
+        flip moves one member in every later odd-sized channel) moves
+        that one member.  When every occupied channel is dirty, the
+        id-ordered batch is bucketed once instead of asking the table, and
+        a sub-batch without a basis is restated whole.
+        """
+        table, lens, sizes = live.table, live.lens, live.members
+        whole = dirty.issuperset(table.occupied())
+        if whole:
+            for channel in dirty:
+                lens[channel] = []
+            for request in table.batch:
+                lens[request.channel or 0].append(
+                    request.input_len + request.generated - table.offset)
+        else:
+            for channel in dirty:
+                lens[channel] = table.lens(channel)
+        for channel in dirty:
+            sizes[channel] = len(lens[channel])
+        halves = (sub_batch_halves(sizes)
+                  if self.config.sub_batch_interleaving else sizes)
+        was_halves, live.halves = live.halves, halves
+        parts = [[(channel, lens[channel][:half]) for channel, half
+                  in enumerate(halves) if channel in dirty],
+                 [(channel, lens[channel][half:]) for channel, half
+                  in enumerate(halves) if channel in dirty]]
+        contrib = self._class_contrib
+        for index in (0, 1):
+            if whole and live.profiles[index] is None:
+                # Nothing to keep up: the sub-batch is restated at once.
+                live.hist[index][:] = _class_histogram(parts[index])
+                live.sizes[index] = sum(len(part) for _, part in parts[index])
+                live.changed[index] = True
+            else:
+                for channel, part in parts[index]:
+                    live.restate(index, channel, part, contrib)
+        for channel, (half, was) in enumerate(zip(halves, was_halves)):
+            if half != was and channel not in dirty:
+                moved = lens[channel][min(was, half)]
+                live.change(half > was, channel, moved, -1, contrib)
+                live.change(half < was, channel, moved, 1, contrib)
+
+    def _install(self, live: _LiveSplit, size: int) -> DeviceClassPlan:
+        """``live``'s plan at its table's offset, with its known bases
+        installed for the window."""
+        offset, period = live.table.offset, self._residue_period()
+        bases: list = [None, None, None]
+        for half in (0, 1):
+            if live.changed[half]:
+                live.changed[half] = False
+                if live.sizes[half]:
+                    lens = list(map(itemgetter(1), live.hist[half]))
+                    live.spans[half] = min(lens), max(lens)
+                sums = live.sums[half]
+                if sums is None or not self._exact_sums:
+                    live.forget(half)
+                else:
+                    live.bases[half] = [offset, self._stage(*sums)
+                                        if live.sizes[half] else None]
+            live.sums[half] = None
+            basis = live.bases[half]
+            if basis is not None and basis[1] is not None:
+                counts, residues = live.profiles[half]
+                grouped: Dict[int, int] = {}
+                for residue, count in residues.items():
+                    _bump(grouped, residue % period, count)
+                bases[half + 1] = [*basis, (dict(counts), *live.spans[half],
+                                            grouped)]
+        (size1, size2), (hist, split) = live.sizes, map(tuple, live.hist)
+        plan = (DeviceClassPlan(size, hist, None, offset) if size1 == size
+                else DeviceClassPlan(size, None, ((size1, hist),
+                                                  (size2, split)), offset))
+        bases[0] = live.plan = plan
+        self._bases, live.installed = bases, bases[1:]
+        return plan
+
     def iteration(self, requests: Sequence[InferenceRequest]) -> IterationResult:
         """Execute one generation iteration over the batch.
 
@@ -549,6 +811,7 @@ class NeuPimsDevice:
         """The iteration result of a ``(plan, shift)`` key, with its
         counter vector when counters are on."""
         plan, shift = key
+        shift += plan.offset
         if plan.split is None:
             hist = plan.hist
             result = self._serialized(

@@ -17,13 +17,6 @@ from repro.npu.vector import (
 )
 
 from repro.npu.functional import FunctionalSystolicArray, reference_gemm
-from repro.npu.spm import (
-    Scratchpad,
-    SpmCapacityError,
-    SpmConfig,
-    layer_weights_fit,
-    tile_pipeline_fits,
-)
 
 __all__ = [
     "NpuChip",
@@ -40,9 +33,4 @@ __all__ = [
     "softmax_cycles",
     "FunctionalSystolicArray",
     "reference_gemm",
-    "Scratchpad",
-    "SpmCapacityError",
-    "SpmConfig",
-    "layer_weights_fit",
-    "tile_pipeline_fits",
 ]

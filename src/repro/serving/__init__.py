@@ -11,7 +11,7 @@ from repro.serving.grouping import (
     GROUPING_MODES,
     DeviceClassPlan,
     GroupedExecutor,
-    GroupedScheduleState,
+    ClassTable,
     SystemClassPlan,
     class_histogram,
     mha_histogram,
@@ -71,7 +71,7 @@ __all__ = [
     "DeviceClassPlan",
     "GROUPING_MODES",
     "GroupedExecutor",
-    "GroupedScheduleState",
+    "ClassTable",
     "SystemClassPlan",
     "class_histogram",
     "mha_histogram",

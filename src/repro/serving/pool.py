@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, Iterable, Iterator, List, Optional
 
-from repro.serving.grouping import ClassKey, class_histogram
+from repro.serving.grouping import ClassKey, ClassTable, class_histogram
 from repro.serving.request import InferenceRequest, RequestStatus
 
 
@@ -45,6 +45,10 @@ class RequestPool:
         #: index of the first WAITING view entry still waiting (entries
         #: before it left from the head without dropping the view)
         self._waiting_head = 0
+        #: The live class table of the RUNNING bucket, while one is
+        #: attached: every move into or out of RUNNING (submit,
+        #: transition, evict) joins or leaves it.
+        self.table: Optional[ClassTable] = None
 
     # ------------------------------------------------------------------
     # Bucket maintenance.
@@ -96,6 +100,8 @@ class RequestPool:
         self._requests[request.request_id] = request
         self._buckets[request.status][request.request_id] = request
         self._sorted[request.status] = None
+        if self.table is not None and request.status is RequestStatus.RUNNING:
+            self.table.join(request)
 
     def submit_all(self, requests: Iterable[InferenceRequest]) -> None:
         """Add several requests to the pool."""
@@ -125,6 +131,12 @@ class RequestPool:
         request.status = status
         self._buckets[status][rid] = request
         self._sorted[status] = None
+        table = self.table
+        if table is not None:
+            if old is RequestStatus.RUNNING:
+                table.leave(request)
+            elif status is RequestStatus.RUNNING:
+                table.join(request)
 
     # ------------------------------------------------------------------
     # Status views.
@@ -193,6 +205,8 @@ class RequestPool:
         if request is None:
             raise KeyError(f"unknown request id {request_id}")
         self._drop(request)
+        if self.table is not None and request.status is RequestStatus.RUNNING:
+            self.table.leave(request)
         return request
 
     def class_histogram(self, status: RequestStatus = RequestStatus.RUNNING

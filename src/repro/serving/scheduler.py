@@ -38,7 +38,7 @@ from repro.serving.events import (FaultInjected, IterationCompleted,
                                   RequestAdmitted, RequestRetired,
                                   RequestRetried, RequestShed,
                                   RequestTimedOut, WindowCommitted)
-from repro.serving.grouping import GroupedExecutor, GroupedScheduleState
+from repro.serving.grouping import ClassTable, GroupedExecutor
 from repro.serving.paging import OutOfMemoryError, PagedKvAllocator
 from repro.serving.pool import RequestPool
 from repro.serving.request import InferenceRequest, RequestStatus
@@ -129,7 +129,9 @@ class IterationScheduler:
         admission) has acted: the boundary iteration is the first step of
         a window, which then continues while no boundary is due (no class
         finishes, no arrival for free batch space, no resilience boundary).
-        The iteration latency comes from the frozen class plan plus a
+        The iteration latency comes from the class plan of the live
+        :class:`~repro.serving.grouping.ClassTable` (which the pool keeps
+        current across windows, so a boundary costs its delta) plus a
         uniform seq_len shift, request objects are left untouched while
         the window runs, and paged-KV growth, load tracking and latency
         bookkeeping cost O(classes) or O(1) per window.  What stays per
@@ -204,6 +206,11 @@ class IterationScheduler:
         self.events = events
         self.resilience = resilience
         self.latency_hook = latency_hook
+        #: The live class table of the running batch (grouping only),
+        #: fed by the pool on every move into or out of ``RUNNING``.
+        self.table: Optional[ClassTable] = None
+        if grouped is not None:
+            self.table = ClassTable(pool, allocators)
         self.stats = ServingStats()
         #: Terminal outcome per retired request id (``completed`` /
         #: ``timed_out`` / ``shed`` / ``aborted``).
@@ -515,7 +522,7 @@ class IterationScheduler:
     # Class-grouped fast path.
     # ------------------------------------------------------------------
 
-    def sync_grouped(self, state: GroupedScheduleState) -> None:
+    def sync_grouped(self, table: ClassTable) -> None:
         """Close a grouped window: write its deferred state back.
 
         Runs before the :meth:`run_iteration` call that opened the
@@ -524,8 +531,8 @@ class IterationScheduler:
         events = self.events
         if events is not None and events.active:
             events.emit(WindowCommitted(time=self._now,
-                                        iterations=state.shift))
-        state.sync(self.pool, self.allocators, self.load_tracker)
+                                        iterations=table.shift))
+        table.sync(self.pool, self.allocators, self.load_tracker)
 
     def _grouped_steps(self, batch: List[InferenceRequest], admitted: int,
                        retired: int, max_steps: int,
@@ -550,8 +557,9 @@ class IterationScheduler:
             if due is None:
                 return None
         allocators = self.allocators
-        state = GroupedScheduleState(batch, self.grouped.prepare(batch),
-                                     allocators)
+        table = self.table
+        table.open(batch)
+        plan = self.grouped.prepare(table)
         # An arrived waiting request (with batch space) ends the window
         # even if admission would reject it: an admission *attempt* has
         # observable side effects (the round-robin cursor advances,
@@ -561,7 +569,7 @@ class IterationScheduler:
         space = self.max_batch_size - len(batch)
         last: Optional[IterationRecord] = None
         for _ in range(max_steps):
-            if state.steps_until_finish() <= 0:
+            if table.steps_until_finish() <= 0:
                 break
             if last is not None and (
                     self._now >= until
@@ -571,7 +579,7 @@ class IterationScheduler:
                 break
             need: Dict[int, int] = {}
             if allocators is not None:
-                need = state.block_need()
+                need = table.block_need()
                 if any(allocators[channel].free_blocks < blocks
                        for channel, blocks in need.items()):
                     # Not enough KV for the batched growth: the
@@ -580,16 +588,16 @@ class IterationScheduler:
                     # KvPressure reports.
                     break
             latency, end = self._charge(
-                self.grouped.run(state.plan, state.shift), batch)
+                self.grouped.run(plan, table.shift), batch)
             for channel, blocks in need.items():
                 allocators[channel].bulk_reserve(blocks)
-            state.advance()
+            table.advance()
             if last is None and self.latency_tracker is not None:
                 self.latency_tracker.observe_batch(batch, end)
             last = self._commit(latency, len(batch), admitted, retired)
             admitted = retired = 0
         if last is not None:
-            self.sync_grouped(state)
+            self.sync_grouped(table)
         return last
 
     def run_iteration(self, max_steps: int = 1,
@@ -630,6 +638,8 @@ class IterationScheduler:
                 math.inf if until is None else until)
             if record is not None:
                 return record
+            # The per-request path advances members outside the table.
+            self.table.invalidate()
         latency, end = self._charge(self.executor(batch), batch)
         if self.latency_tracker is not None:
             observe = self.latency_tracker.observe_running

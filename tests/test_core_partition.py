@@ -7,6 +7,7 @@ from repro.core.partition import (
     partition_batch,
     partition_stats,
     partition_sub_batches,
+    sub_batch_halves,
 )
 
 from tests.conftest import make_request
@@ -73,6 +74,17 @@ class TestAlgorithm3:
     def test_empty_channels_ok(self):
         sb1, sb2 = partition_sub_batches([[], []])
         assert sb1 == [] and sb2 == []
+
+    def test_turn_carries_across_channels(self):
+        """The ``turn`` flip is not per channel: one channel's parity
+        decides the halves of every later odd-sized channel, so a parity
+        change moves one request in each of them, not only in the
+        channel that changed (what a live class table must re-split)."""
+        assert sub_batch_halves([3, 3, 3]) == [2, 1, 2]
+        assert sub_batch_halves([2, 3, 3]) == [1, 2, 1]
+        # Even channels in between keep their halves and pass the turn on.
+        assert sub_batch_halves([3, 4, 3]) == [2, 2, 1]
+        assert sub_batch_halves([2, 4, 3]) == [1, 2, 2]
 
 
 class TestPartitionBatch:

@@ -9,14 +9,18 @@ behavior of the grouping primitives themselves.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import ScenarioSpec, ServingSpec, Session, TrafficSpec
 from repro.api.bench import bucketed_replay_triples, serving_bench_spec
+from repro.core.config import NeuPimsConfig
 from repro.core.device import NeuPimsDevice
 from repro.model.spec import GPT3_7B
-from repro.serving.grouping import (GroupedExecutor, GroupedScheduleState,
+from repro.serving.grouping import (ClassTable, GroupedExecutor,
                                     class_histogram, mha_histogram,
                                     shift_histogram)
 from repro.serving.pool import RequestPool
@@ -150,7 +154,7 @@ class TestGroupCommitWindows:
                              status=RequestStatus.RUNNING)
             for i in range(batch_size))
         grouped = GroupedExecutor(
-            device.prepare_class_plan,
+            device.table_plan,
             lambda plan, shift: device.iteration_from_plan(plan,
                                                            shift).latency)
         scheduler = IterationScheduler(
@@ -297,11 +301,12 @@ class TestGroupingPrimitives:
         reqs = self._requests()
         pool = RequestPool()
         pool.submit_all(reqs)
-        state = GroupedScheduleState(reqs, plan=None)
-        assert state.steps_until_finish() == 4
+        table = ClassTable()
+        table.open(reqs)
+        assert table.steps_until_finish() == 4
         for _ in range(4):
-            state.advance()
-        state.sync(pool, None, None)
+            table.advance()
+        table.sync(pool, None, None)
         assert [r.generated for r in reqs] == [4, 4, 4, 4]
         assert reqs[2].status is RequestStatus.DONE
         assert reqs[0].status is RequestStatus.RUNNING
@@ -311,11 +316,12 @@ class TestGroupingPrimitives:
 
     def test_state_sync_rejects_a_pool_without_the_members(self):
         reqs = self._requests()
-        state = GroupedScheduleState(reqs, plan=None)
+        table = ClassTable()
+        table.open(reqs)
         for _ in range(4):
-            state.advance()
+            table.advance()
         with pytest.raises(KeyError):
-            state.sync(RequestPool(), None, None)
+            table.sync(RequestPool(), None, None)
 
     def test_mha_stage_matches_class_stage(self):
         device = NeuPimsDevice(GPT3_7B, tp=4, layers_resident=2)
@@ -349,3 +355,161 @@ class TestAllocatorLedger:
         assert bucketed_replay_triples(16) == bucketed_replay_triples(16)
         with pytest.raises(ValueError):
             bucketed_replay_triples(0)
+
+
+class _Blocks:
+    """The part of a paged-KV allocator a class table and its window
+    close touch: the block size and the per-request ledger."""
+
+    def __init__(self, block_tokens):
+        self.config = SimpleNamespace(block_tokens=block_tokens)
+        self.ledger = {}
+
+    def set_allocation(self, request_id, blocks):
+        self.ledger[request_id] = blocks
+
+
+def _blocks_for(tokens, block_tokens):
+    return -(-tokens // block_tokens)
+
+
+def _table_view(table):
+    """A table's classes and indexes with seq_lens and finish offsets
+    made absolute (the table's own offset taken out)."""
+    offset = table.offset
+
+    def absolute(key):
+        channel, relative, finish = key
+        return channel, relative + offset, finish - offset
+    return {
+        "classes": {absolute(key): sorted(members)
+                    for key, members in table.classes.items()},
+        "channels": {channel: [relative + offset
+                               for relative in table.lens(channel)]
+                     for channel in table.occupied()},
+        "crossings": {(size, (residue - offset) % size):
+                      sorted(map(absolute, keys))
+                      for (size, residue), keys in table._crossings.items()},
+        "finishing": {finish - offset: sorted(map(absolute, keys))
+                      for finish, keys in table._finishing.items()},
+        "size": len(table),
+        "steps": table.steps_until_finish(),
+        "need": table.block_need(),
+    }
+
+
+class TestLiveClassTable:
+    """The live class table against one rebuilt from scratch, after every
+    boundary of a random admit / finish / timeout / retry / failover
+    sequence: its classes and indexes, its device plan (against
+    ``prepare_class_plan``) and its basis stages (against canonical MHA
+    passes), and every window step (against a fresh device)."""
+
+    CHANNELS = 4
+    BLOCK_TOKENS = (4, 4, 8, 16)
+    #: Channel 0 often, so parity flips there move a member in every
+    #: later odd-sized channel (Algorithm 3's ``turn``).
+    _channel = st.sampled_from([0, 0, 0, 1, 2, 3])
+    _admit = st.tuples(st.just("admit"), _channel, st.integers(1, 40),
+                       st.integers(1, 12))
+    _op = st.one_of(
+        _admit, _admit, _admit,
+        st.tuples(st.sampled_from(["timeout", "retry", "failover",
+                                   "readmit"]), st.integers(0, 63)),
+        st.tuples(st.just("window"), st.integers(1, 8)))
+
+    def _check_boundary(self, table, device, batch):
+        fresh = ClassTable(allocators=[_Blocks(size)
+                                       for size in self.BLOCK_TOKENS])
+        fresh.open(list(batch))
+        assert _table_view(table) == _table_view(fresh)
+        plan = device.table_plan(table)
+        reference = NeuPimsDevice(GPT3_7B, device.config, layers_resident=2,
+                                  channel_pool=self.CHANNELS)
+        expected = reference.prepare_class_plan(list(batch))
+        hists = ([plan.hist] if plan.split is None
+                 else [hist for _, hist in plan.split])
+        assert plan.batch_size == expected.batch_size == len(batch)
+        if expected.split is None:
+            assert plan.split is None
+            assert shift_histogram(plan.hist, plan.offset) == expected.hist
+        else:
+            assert [(size, shift_histogram(hist, plan.offset))
+                    for size, hist in plan.split] == list(expected.split)
+        bases = device._bases
+        assert bases[0] is plan
+        for hist, basis in zip(hists, bases[1:]):
+            if basis is not None:
+                start, stage, _ = basis
+                assert stage == reference.mha_stage_classes(
+                    shift_histogram(hist, start))
+        return plan, reference, expected
+
+    def _window(self, pool, table, device, allocators, steps):
+        batch = pool.running()
+        if not batch:
+            return
+        table.open(batch)
+        plan, reference, expected = self._check_boundary(table, device,
+                                                         batch)
+        for shift in range(min(steps, table.steps_until_finish())):
+            need = {}
+            for request in batch:
+                size = self.BLOCK_TOKENS[request.channel]
+                if (request.seq_len + shift) % size == 0:
+                    need[request.channel] = need.get(request.channel, 0) + 1
+            assert table.block_need() == need
+            assert device.iteration_from_plan(plan, shift) == \
+                reference.iteration_from_plan(expected, shift)
+            table.advance()
+        table.sync(pool, allocators, None)
+        for request in pool.running():
+            assert allocators[request.channel].ledger[request.request_id] \
+                == _blocks_for(request.seq_len,
+                               self.BLOCK_TOKENS[request.channel])
+        pool.retire_finished()
+
+    @settings(deadline=None)
+    @given(config=st.sampled_from([NeuPimsConfig(),
+                                   NeuPimsConfig(sub_batch_interleaving=False),
+                                   NeuPimsConfig(dual_row_buffer=False)]),
+           ops=st.lists(_op, min_size=10, max_size=80))
+    def test_matches_rebuilt_table(self, config, ops):
+        device = NeuPimsDevice(GPT3_7B, config, layers_resident=2,
+                               channel_pool=self.CHANNELS)
+        allocators = [_Blocks(size) for size in self.BLOCK_TOKENS]
+        pool = RequestPool()
+        table = ClassTable(pool, allocators)
+        table.open([])  # attach: every later delta reaches the table
+        waiting = []  # retried or extracted, to be re-admitted
+        next_id = 0
+
+        def admit(request, channel):
+            request.channel = channel
+            allocators[channel].ledger[request.request_id] = _blocks_for(
+                request.seq_len, self.BLOCK_TOKENS[channel])
+            pool.transition(request, RequestStatus.RUNNING)
+
+        for op in ops:
+            running = pool.running()
+            if op[0] == "admit":
+                _, channel, input_len, output_len = op
+                request = InferenceRequest(next_id, input_len, output_len)
+                next_id += 1
+                pool.submit(request)
+                admit(request, channel)
+            elif op[0] == "window":
+                self._window(pool, table, device, allocators, op[1])
+            elif op[0] == "readmit" and waiting:
+                request = waiting.pop(op[1] % len(waiting))
+                pool.submit(request)  # its old, lower id: mid-list
+                admit(request, op[1] % self.CHANNELS)
+            elif op[0] != "readmit" and running:
+                request = running[op[1] % len(running)]
+                pool.evict(request.request_id)
+                request.status = RequestStatus.WAITING
+                if op[0] != "timeout":
+                    waiting.append(request)
+                if op[0] == "failover":
+                    request.channel = None
+        self._window(pool, table, device, allocators, 1)
