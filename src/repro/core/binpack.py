@@ -15,10 +15,18 @@ whenever sequence lengths are skewed.
 from __future__ import annotations
 
 from heapq import heapify, heapreplace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.core.estimator import MhaLatencyEstimator
 from repro.serving.request import InferenceRequest
+
+
+#: A multiple of 1/32 in [0, 2**32) is an integer number of 1/32 units
+#: below 2**37, so over at most this many requests every product and
+#: partial sum of such values (or of their differences) is an integer
+#: below 2**53 units: float arithmetic on them is exact in any order.
+EXACT_BATCH = 2 ** 16
 
 
 class ChannelLoadTracker:
@@ -46,7 +54,13 @@ class ChannelLoadTracker:
     Histogram keys are ``seq_len - offset`` for one tracker-wide
     ``offset``: a grouped window over the whole tracked set advances
     every context by the same number of tokens, which :meth:`shift`
-    records in O(1) instead of moving each request's key.
+    records instead of moving each request's key.  With a ``guard``
+    (the device's affine guard, attached by
+    :meth:`~repro.core.device.NeuPimsDevice.attach_load_tracker`) that
+    vouches for every tracked seq_len over the old and the new offset,
+    a shift steps each cached load by one estimate step times its
+    channel's members, which is the canonical sum bit for bit (every
+    value is exact there: DESIGN.md §5); otherwise the cache is dropped.
 
     Note this is a *behavioral* upgrade where wired in, not only a fast
     path: the untracked scheduler wiring passes no resident set, so
@@ -58,12 +72,15 @@ class ChannelLoadTracker:
     per-request re-estimates O(1) dictionary hits.
     """
 
-    def __init__(self, estimator: MhaLatencyEstimator,
-                 num_channels: int) -> None:
+    def __init__(self, estimator: MhaLatencyEstimator, num_channels: int,
+                 guard: Optional[Callable[[int, int], bool]] = None) -> None:
         if num_channels <= 0:
             raise ValueError("num_channels must be positive")
         self.estimator = estimator
         self.num_channels = num_channels
+        #: ``guard(low, high)``: whether ``estimator``'s values over
+        #: seq_lens ``[low, high]`` are exact and step alike per token
+        self.guard = guard
         #: per-channel {seq_len - offset: count} histograms
         self._hist: List[Dict[int, int]] = [{} for _ in range(num_channels)]
         #: request id -> (channel, seq_len - offset at last refresh)
@@ -72,11 +89,19 @@ class ChannelLoadTracker:
         self._offset = 0
         #: per-channel cached load (None = recompute from histogram)
         self._cache: List[Optional[float]] = [0.0] * num_channels
+        #: per channel with a cached load: (lowest key, highest key,
+        #: members), or None while it is empty
+        self._spans: List[Optional[Tuple[int, int, int]]] = \
+            [None] * num_channels
 
     @property
     def loads(self) -> List[float]:
         """Current estimated load per channel (live copy)."""
-        return [self._channel_load(c) for c in range(self.num_channels)]
+        cache = self._cache
+        if None not in cache:
+            return cache[:]
+        return [self._channel_load(channel) if load is None else load
+                for channel, load in enumerate(cache)]
 
     def _channel_load(self, channel: int) -> float:
         cached = self._cache[channel]
@@ -84,9 +109,12 @@ class ChannelLoadTracker:
             hist = self._hist[channel]
             offset = self._offset
             cached = 0.0
-            for key in sorted(hist):
+            keys = sorted(hist)
+            for key in keys:
                 cached += self.estimator.estimate(key + offset) * hist[key]
             self._cache[channel] = cached
+            self._spans[channel] = (keys[0], keys[-1], sum(hist.values())) \
+                if keys else None
         return cached
 
     def __len__(self) -> int:
@@ -179,11 +207,30 @@ class ChannelLoadTracker:
         The grouped engine's window close when its batch is exactly the
         tracked set: O(channels), whatever the batch size.  Keys are
         relative to the offset, so the histograms keep their shape and
-        order and loads stay the canonical ascending-seq_len sums.
+        order and loads stay the canonical ascending-seq_len sums.  A
+        cached load steps in closed form where the guard vouches for the
+        seq_lens crossed (see the class docstring), else it is dropped.
         """
-        if steps:
-            self._offset += steps
-            self._cache = [None] * self.num_channels
+        if not steps:
+            return
+        offset = self._offset
+        self._offset += steps
+        cache, spans = self._cache, self._spans
+        occupied = [channel for channel, span in enumerate(spans)
+                    if span is not None and cache[channel] is not None]
+        if occupied and self.guard is not None \
+                and len(self._contrib) <= EXACT_BATCH:
+            low = min(spans[channel][0] for channel in occupied)
+            high = max(spans[channel][1] for channel in occupied)
+            first, last = sorted((offset, self._offset))
+            if self.guard(low + first, high + last):
+                estimate = self.estimator.estimate
+                step = estimate(low + self._offset) - estimate(low + offset)
+                for channel in occupied:
+                    cache[channel] += step * spans[channel][2]
+                return
+        for channel in occupied:
+            cache[channel] = None
 
     def remove(self, request: InferenceRequest) -> None:
         """Stop tracking a retired request (no-op when untracked)."""
@@ -196,6 +243,7 @@ class ChannelLoadTracker:
         """Forget every tracked request."""
         self._hist = [{} for _ in range(self.num_channels)]
         self._cache = [0.0] * self.num_channels
+        self._spans = [None] * self.num_channels
         self._contrib.clear()
 
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.binpack import (ChannelLoadTracker, greedy_min_load_assign,
-                                round_robin_assign)
+from repro.core.binpack import (EXACT_BATCH, ChannelLoadTracker,
+                                greedy_min_load_assign, round_robin_assign)
 from repro.core.config import NeuPimsConfig
 from repro.core.estimator import MhaLatencyEstimator, analytic_latencies
 from repro.perf.cache import Memo
@@ -47,13 +47,6 @@ from repro.serving.grouping import (ClassTable, DeviceClassPlan,
                                     MhaHistogram, merge_histograms,
                                     mha_histogram, shift_histogram)
 from repro.serving.request import InferenceRequest
-
-#: A multiple of 1/32 in [0, 2**32) is an integer number of 1/32 units
-#: below 2**37, so over at most this many requests every product and
-#: partial sum of such values (or of their differences) is an integer
-#: below 2**53 units: float arithmetic on them is exact in any order.
-_EXACT_BATCH = 2 ** 16
-
 
 #: Softmax periods the affine guard tries; each divides the last.
 _PERIODS = (1, 2, 4, 8, 16)
@@ -92,6 +85,21 @@ def _profile(hist: MhaHistogram, period: int = _PERIODS[-1]):
         residues[residue] = residues.get(residue, 0) + count
     seq_lens = list(map(itemgetter(1), hist))
     return counts, min(seq_lens), max(seq_lens), residues
+
+
+def _frontier(rows: List[tuple]) -> List[tuple]:
+    """The rows that no other row dominates in both ``(value, members)``
+    (their first two fields), by descending value.  For any step
+    ``load >= 0``, the largest ``value + load * members`` over ``rows``
+    is reached among them: float rounding is monotone, so a row with a
+    value and members at least another's never ends below it."""
+    kept: List[tuple] = []
+    most = -1
+    for row in sorted(rows, reverse=True):
+        if row[1] > most:
+            kept.append(row)
+            most = row[1]
+    return kept
 
 
 def _bump(counts: Dict, key, step: int) -> int:
@@ -324,11 +332,14 @@ class NeuPimsDevice:
         #: exact-summation bounds (cleared by `_class_contribution`).
         self._exact_sums = True
         # The affine guard (`_affine`) and the current window's bases
-        # (`_sub_batch_stage`): [plan, [shift, stage, profile] per hist].
+        # (`_sub_batch`): [plan, [shift, stage, profile] per hist].
         self._affine_lo, self._affine_hi, self._affine_floor = 1, 0, 1
         self._affine_steps: Optional[Tuple[float, ...]] = None
         self._period, self._affine_ok = 1, True
         self._bases: list = [None]
+        # Per window basis, the channels `_sub_batch` and `_whole_pim`
+        # take the max over (`_frontier`), keyed by the bases' identity.
+        self._tops: list = [None, None, None]
         # The split of the live class table planned last (`table_plan`).
         self._live: Optional[_LiveSplit] = None
         # Config-derived MHA constants, hoisted out of the per-request loop.
@@ -347,8 +358,8 @@ class NeuPimsDevice:
 
     def attach_load_tracker(self) -> ChannelLoadTracker:
         """Create and attach a load tracker over this device's channels."""
-        self.load_tracker = ChannelLoadTracker(self.estimator,
-                                               self.channel_pool)
+        self.load_tracker = ChannelLoadTracker(
+            self.estimator, self.channel_pool, guard=self._affine)
         return self.load_tracker
 
     def attach_counters(self):
@@ -483,73 +494,34 @@ class NeuPimsDevice:
                               pim_busy_cycles=raw_total / self.channel_pool,
                               loads=loads, raw_total=raw_total)
 
-    def _whole_batch_stage(self, plan: DeviceClassPlan, shift: int,
-                           mha1: MhaStageTiming, mha2: MhaStageTiming
-                           ) -> MhaStageTiming:
-        """Both sub-batches' MHA stage: the sum of theirs, which is the
-        canonical pass over the merged histogram bit for bit when the
-        ``_exact_sums`` guard holds (read only here, after the sub-batch
-        stages computed every class entry it covers); else that pass."""
-        if not (self._exact_sums and plan.batch_size <= _EXACT_BATCH):
-            (_, hist1), (_, hist2) = plan.split
-            return self.mha_stage_classes(
-                shift_histogram(merge_histograms(hist1, hist2), shift))
-        loads = dict(mha1.loads)
-        for channel, load in mha2.loads.items():
-            loads[channel] = loads.get(channel, 0.0) + load
-        return self._stage(loads, mha1.raw_total + mha2.raw_total,
-                           mha1.softmax_cycles + mha2.softmax_cycles,
-                           mha1.internal_bytes + mha2.internal_bytes)
-
-    def _sub_batch_stage(self, plan: DeviceClassPlan, index: int,
-                         hist: MhaHistogram, shift: int) -> MhaStageTiming:
-        """The MHA stage of the plan's ``index``-th histogram advanced by
-        ``shift`` (the plan's offset included): closed-form from the
-        window's basis (a stage at an earlier shift, installed by
-        `table_plan` or from a canonical pass) where `_affine` vouches for
-        every seq_len involved, else a canonical pass that becomes the
-        basis (DESIGN.md §5)."""
-        bases = self._bases
-        if bases[0] is not plan:
-            bases = self._bases = [plan, None, None]
-        basis = bases[index + 1]
-        if basis is not None and self.counter_model is None \
-                and plan.batch_size <= _EXACT_BATCH:
-            if basis[2] is None:
-                basis[2] = _profile(hist, self._residue_period())
-            sums = self._advance(*basis, shift)
-            if sums is not None:
-                return self._stage(*sums)
-        stage = self.mha_stage_classes(shift_histogram(hist, shift))
-        bases[index + 1] = [shift, stage, basis and basis[2]]
-        return stage
-
     def _advance(self, start: int, stage: MhaStageTiming, profile,
-                 shift: int) -> Optional[list]:
+                 shift: int) -> Optional[Tuple[float, float, float, float]]:
         """``stage`` (over the seq_lens of ``profile`` advanced by
-        ``start``) advanced to ``shift`` in O(channels + residues), as
-        `_stage`'s ``[loads, raw, softmax, KV bytes]``, or ``None`` where
-        `_affine` does not vouch for the seq_lens crossed.  A residue's
-        softmax step is read at its lowest seq_len in ``[low, high]``:
-        under the guard every member of a residue modulo `_period` steps
-        alike (the profile's residues are modulo a multiple of it)."""
-        counts, low, high, residues = profile
-        if not (start <= shift and self._affine(low + start, high + shift)):
+        ``start``) advanced to ``shift`` in O(residues), as ``(load step,
+        raw, softmax, KV bytes)``: channel ``c``'s load is its basis load
+        plus the load step times its members.  ``None`` where `_affine`
+        does not vouch for the seq_lens crossed.  A residue's softmax
+        step is read at its lowest seq_len in ``[low, high]``: under the
+        guard every member of a residue modulo `_period` steps alike (the
+        profile's residues are modulo a multiple of it)."""
+        if start == shift:  # the basis itself, whatever the guard says
+            return (0.0, stage.raw_total, stage.softmax_cycles,
+                    stage.internal_bytes)
+        _, low, high, residues = profile
+        if not (start < shift and self._affine(low + start, high + shift)):
             return None
         contrib = self._class_contrib
         then, now = contrib[low + start], contrib[low + shift]
-        load, size = now[1] - then[1], sum(counts.values())
+        size = sum(residues.values())  # the members, over few keys
         softmax = stage.softmax_cycles
-        period = self._period
+        period = self._period  # read after the guard, which may seed it
         for residue, count in residues.items():
             seq_len = low + (residue - low) % period
             softmax += count * (contrib[seq_len + shift][2]
                                 - contrib[seq_len + start][2])
-        loads = stage.loads
-        return [{channel: loads[channel] + load * count
-                 for channel, count in counts.items()},
+        return (now[1] - then[1],
                 stage.raw_total + (now[0] - then[0]) * size, softmax,
-                stage.internal_bytes + (now[3] - then[3]) * size]
+                stage.internal_bytes + (now[3] - then[3]) * size)
 
     def _residue_period(self) -> int:
         """The period softmax residues may be grouped by: `_period` once
@@ -658,7 +630,7 @@ class NeuPimsDevice:
         offset in closed form (`_advance`), follow the deltas by exact
         add/subtract and are installed as the window's bases, while
         `_exact_sums` holds, no counter model is attached and the batch
-        is at most `_EXACT_BATCH`; otherwise the split is rebuilt (the
+        is at most `EXACT_BATCH`; otherwise the split is rebuilt (the
         same add path) on every plan and the window's canonical passes
         supply the bases.
         """
@@ -673,7 +645,7 @@ class NeuPimsDevice:
         if live is None or live.table is not table \
                 or live.generation != table.generation \
                 or not (self._exact_sums and self.counter_model is None
-                        and len(batch) <= _EXACT_BATCH):
+                        and len(batch) <= EXACT_BATCH):
             live = self._live = _LiveSplit(table, self.channel_pool)
             dirty |= table.occupied()
         elif dirty:
@@ -682,9 +654,7 @@ class NeuPimsDevice:
                 basis = window and window[half + 1]
                 if basis is not None and basis is not live.installed[half]:
                     # A canonical pass of the window: adopt it.
-                    start, stage, profile = basis
-                    counts, _, _, residues = \
-                        profile or _profile(live.hist[half])
+                    start, stage, (counts, _, _, residues) = basis
                     live.bases[half] = [start, stage]
                     live.profiles[half] = (dict(counts), dict(residues))
                 basis = live.bases[half]
@@ -695,11 +665,17 @@ class NeuPimsDevice:
                     live.sums[half] = [{}, 0.0, 0.0, 0.0]
                 else:  # deltas apply at the table's offset
                     counts, residues = live.profiles[half]
-                    live.sums[half] = self._advance(
+                    sums = self._advance(
                         start, stage, (counts, *live.spans[half], residues),
                         table.offset)
-                    if live.sums[half] is None:
+                    if sums is None:
                         live.forget(half)
+                        continue
+                    load, *totals = sums
+                    loads = stage.loads
+                    live.sums[half] = [{channel: loads[channel] + load * count
+                                        for channel, count in counts.items()},
+                                       *totals]
         if dirty:
             self._apply(live, dirty)
         return self._install(live, len(batch))
@@ -809,71 +785,155 @@ class NeuPimsDevice:
 
     def _iteration(self, key: Tuple[DeviceClassPlan, int]) -> IterationResult:
         """The iteration result of a ``(plan, shift)`` key, with its
-        counter vector when counters are on."""
+        counter vector when counters are on, in one fused evaluation
+        (DESIGN.md §5): each sub-batch's MHA stage as scalars
+        (`_sub_batch`), the whole batch's composed from theirs
+        (`_whole_pim`), and one result for the schedule that wins."""
         plan, shift = key
         shift += plan.offset
-        if plan.split is None:
-            hist = plan.hist
-            result = self._serialized(
-                plan.batch_size, self._sub_batch_stage(plan, 0, hist, shift))
+        if self._bases[0] is not plan:
+            self._bases = [plan, None, None]
+        layers, dual = self.layers, self.config.dual_row_buffer
+        split = plan.split
+        # Whether the serialized schedule (Figure 11a) is a candidate.
+        serial = split is None or self.config.adaptive_sbi
+        if split is None:
+            pim, softmax, raw, kv, _ = self._sub_batch(0, plan.hist, shift)
         else:
-            (size1, hist1), (size2, hist2) = plan.split
+            (size1, hist1), (size2, hist2) = split
             gemm1 = self.gemm_stage_cycles(size1)
-            mha1 = self._sub_batch_stage(plan, 0, hist1, shift)
+            pim1, soft1, raw1, kv1, load1 = self._sub_batch(0, hist1, shift)
             gemm2 = self.gemm_stage_cycles(size2)
-            mha2 = self._sub_batch_stage(plan, 1, hist2, shift)
-            result = self._interleaved(gemm1, mha1, gemm2, mha2)
-            if self.config.adaptive_sbi:
-                whole = self._whole_batch_stage(plan, shift, mha1, mha2)
-                serialized = self._serialized(plan.batch_size, whole)
-                if serialized.latency < result.latency:
-                    result = serialized
+            pim2, soft2, raw2, kv2, load2 = self._sub_batch(1, hist2, shift)
+            latency, vector_busy = interleave_timeline(
+                layers,
+                (gemm1.qkv_cycles, max(pim1, soft1) if dual else pim1 + soft1,
+                 gemm1.projffn_cycles, soft1),
+                (gemm2.qkv_cycles, max(pim2, soft2) if dual else pim2 + soft2,
+                 gemm2.projffn_cycles, soft2))
+            if serial and self._exact_sums \
+                    and plan.batch_size <= EXACT_BATCH:
+                # Read only now: the sub-batch stages computed every
+                # class entry the flag covers.
+                pim = self._whole_pim(shift, load1, load2)
+                softmax, raw, kv = soft1 + soft2, raw1 + raw2, kv1 + kv2
+            elif serial:
+                whole = self.mha_stage_classes(
+                    shift_histogram(merge_histograms(hist1, hist2), shift))
+                pim, softmax = whole.pim_cycles, whole.softmax_cycles
+                raw, kv = whole.raw_total, whole.internal_bytes
+        if serial:
+            # Figure 11(a): QKV -> MHA -> Proj&FFN per block, serialized.
+            gemm = self.gemm_stage_cycles(plan.batch_size)
+            serialized = (gemm.qkv_cycles
+                          + (max(pim, softmax) if dual else pim + softmax)
+                          + gemm.projffn_cycles) * layers
+        if split is None or serial and serialized < latency:
+            result = IterationResult(
+                latency=serialized,
+                busy={"npu": gemm.compute_cycles * layers,
+                      "npu_vector": softmax * layers,
+                      "pim": raw / self.channel_pool * layers},
+                external_bytes=gemm.external_bytes * layers,
+                internal_pim_bytes=kv * layers)
+        else:  # Figure 11(b): the two sub-batches pipelined
+            pool = self.channel_pool
+            result = IterationResult(
+                latency=latency,
+                busy={"npu": gemm1.compute_cycles * layers
+                             + gemm2.compute_cycles * layers,
+                      "npu_vector": vector_busy,
+                      "pim": (raw1 / pool + raw2 / pool) * layers},
+                external_bytes=gemm1.external_bytes * layers
+                + gemm2.external_bytes * layers,
+                internal_pim_bytes=kv1 * layers + kv2 * layers)
         if self.counter_model is not None:
             # Every result here is a fresh object, so the counter vector
             # is set in place and enters the memo with the timing.
-            if plan.split is not None:
-                hist = merge_histograms(hist1, hist2)
+            hist = (plan.hist if split is None
+                    else merge_histograms(hist1, hist2))
             result.counters = self.counter_model.iteration_counters(
                 shift_histogram(hist, shift), result.latency,
                 result.busy.get("npu", 0.0))
         return result
 
-    def _serialized(self, batch_tokens: int,
-                    mha: MhaStageTiming) -> IterationResult:
-        """Figure 11(a): QKV -> MHA -> Proj&FFN per block, serialized."""
-        gemm = self.gemm_stage_cycles(batch_tokens)
-        t_mha = mha.duration(self.config.dual_row_buffer)
-        layers = self.layers
-        return IterationResult(
-            latency=(gemm.qkv_cycles + t_mha + gemm.projffn_cycles) * layers,
-            busy={"npu": gemm.compute_cycles * layers,
-                  "npu_vector": mha.softmax_cycles * layers,
-                  "pim": mha.pim_busy_cycles * layers},
-            external_bytes=gemm.external_bytes * layers,
-            internal_pim_bytes=mha.internal_bytes * layers)
+    def _sub_batch(self, index: int, hist: MhaHistogram, shift: int
+                   ) -> Tuple[float, float, float, float, float]:
+        """The MHA stage of the plan's ``index``-th histogram advanced by
+        ``shift`` (the plan's offset included), as ``(pim, softmax, raw,
+        KV bytes, load step)``: stepped from the window's basis (a stage
+        at an earlier shift, installed by `table_plan` or from a
+        canonical pass) where `_advance` vouches for it, its most-loaded
+        channel read among the basis's frontier (`_frontier`); else a
+        canonical pass that becomes the basis (DESIGN.md §5)."""
+        bases = self._bases
+        basis, profile = bases[index + 1], None
+        if basis is not None:
+            start, stage, profile = basis
+            sums = (None if self.counter_model is not None
+                    or bases[0].batch_size > EXACT_BATCH
+                    else self._advance(start, stage, profile, shift))
+            if sums is not None:
+                load, raw, softmax, kv = sums
+                if not load:  # every channel at its basis load
+                    return stage.pim_cycles, softmax, raw, kv, load
+                if load > 0:
+                    top = self._tops[index]
+                    if top is None or top[0] is not basis:
+                        loads = stage.loads
+                        top = self._tops[index] = (basis, _frontier(
+                            [(loads[channel], count)
+                             for channel, count in profile[0].items()]))
+                    rows = top[1]
+                else:  # a falling load reverses the order: keep them all
+                    loads = stage.loads
+                    rows = [(loads[channel], count)
+                            for channel, count in profile[0].items()]
+                return (max([value + load * count for value, count in rows]),
+                        softmax, raw, kv, load)
+        stage = self.mha_stage_classes(shift_histogram(hist, shift))
+        bases[index + 1] = [shift, stage, profile
+                            or _profile(hist, self._residue_period())]
+        return (stage.pim_cycles, stage.softmax_cycles, stage.raw_total,
+                stage.internal_bytes, 0.0)
 
-    def _interleaved(self, gemm1: GemmStage, mha1: MhaStageTiming,
-                     gemm2: GemmStage, mha2: MhaStageTiming
-                     ) -> IterationResult:
-        """Figure 11(b): two sub-batches pipelined across NPU-S and PIM."""
-        layers = self.layers
-        dual_row_buffer = self.config.dual_row_buffer
-        latency, vector_busy = interleave_timeline(
-            layers,
-            (gemm1.qkv_cycles, mha1.duration(dual_row_buffer),
-             gemm1.projffn_cycles, mha1.softmax_cycles),
-            (gemm2.qkv_cycles, mha2.duration(dual_row_buffer),
-             gemm2.projffn_cycles, mha2.softmax_cycles))
-        pim_busy = (mha1.pim_busy_cycles + mha2.pim_busy_cycles) * layers
-        return IterationResult(
-            latency=latency,
-            busy={"npu": gemm1.compute_cycles * layers
-                         + gemm2.compute_cycles * layers,
-                  "npu_vector": vector_busy, "pim": pim_busy},
-            external_bytes=gemm1.external_bytes * layers
-            + gemm2.external_bytes * layers,
-            internal_pim_bytes=mha1.internal_bytes * layers
-            + mha2.internal_bytes * layers)
+    def _whole_pim(self, shift: int, load1: float, load2: float) -> float:
+        """The whole batch's most-loaded channel at ``shift``, from the two
+        sub-batches' bases and load steps: channel ``c``'s load is the sum
+        of its two sub-batch loads, the canonical pass's bit for bit under
+        `_exact_sums` (no third pass over the merged histogram).
+
+        Every channel is summed on the first step of a pair of bases; the
+        channels not dominated in (load, members) are kept for the later
+        steps.  That is exact: under the guard, both sub-batches' loads
+        step by the guard's load step per token and every sum is exact,
+        so from one step to a later one a channel's load grows by that
+        step times its members.  The kept channels are valid only for
+        later shifts of the same bases, and only when the step is not
+        negative."""
+        _, basis1, basis2 = self._bases
+        top = self._tops[2]
+        if top is None or top[0] is not basis1 or top[1] is not basis2 \
+                or top[2] > shift:
+            (_, stage1, (counts1, *_)), (_, stage2, (counts2, *_)) = \
+                basis1, basis2
+            loads1, loads2 = stage1.loads, stage2.loads
+            rows = []
+            for channel in counts1.keys() | counts2.keys():
+                value1, members1 = (loads1.get(channel, 0.0),
+                                    counts1.get(channel, 0))
+                value2, members2 = (loads2.get(channel, 0.0),
+                                    counts2.get(channel, 0))
+                rows.append(((value1 + load1 * members1)
+                             + (value2 + load2 * members2),
+                             members1 + members2,
+                             value1, members1, value2, members2))
+            steps = self._affine_steps
+            if steps is not None and steps[1] >= 0:
+                self._tops[2] = (basis1, basis2, shift, _frontier(rows))
+            return max(rows)[0]
+        return max([(value1 + load1 * members1) + (value2 + load2 * members2)
+                    for _, _, value1, members1, value2, members2 in top[3]])
 
     # ------------------------------------------------------------------
 
@@ -898,29 +958,52 @@ def interleave_timeline(layers: int,
     units; no operator waits on them, so only their busy time is kept,
     summed in booking order.  Returns ``(latency, vector busy)``.
     """
-    durations = (first[:3], second[:3])
-    softmax = (first[3], second[3])
+    qkv0, mha0, projffn0, softmax0 = first
+    qkv1, mha1, projffn1, softmax1 = second
     ops = 3 * layers
-    ready = [0.0, 0.0]
-    cursor = [0, 0]
-    free = [0.0, 0.0]  # NPU-S, PIM: when each is next idle
-    vector_busy, done = 0.0, float("inf")  # done: a finished sub-batch
+    # Per sub-batch: ready time, operators booked and phase (0 QKV,
+    # 1 MHA, 2 Proj&FFNs); per unit: when it is next idle.  A finished
+    # sub-batch's next start is infinite.  `f if f > r else r` is
+    # max(ready, unit free) without a call.
+    ready0 = ready1 = npu = pim = vector_busy = 0.0
+    booked0 = booked1 = phase0 = phase1 = 0
+    done = float("inf")
     for _ in range(2 * ops):
-        # `f if f > r else r` is max(ready, unit free) without a call.
-        c0, c1 = cursor
-        r, f = ready[0], free[c0 % 3 == 1]
-        start0 = done if c0 == ops else (f if f > r else r)
-        r, f = ready[1], free[c1 % 3 == 1]
-        start1 = done if c1 == ops else (f if f > r else r)
-        s, start = (1, start1) if start1 < start0 else (0, start0)
-        phase = cursor[s] % 3
-        end = start + durations[s][phase]
-        free[phase == 1] = end
-        if phase == 1:
-            vector_busy += softmax[s]
-        ready[s] = end
-        cursor[s] += 1
-    return max(ready), vector_busy
+        if booked0 == ops:
+            start0 = done
+        else:
+            f = pim if phase0 == 1 else npu
+            start0 = f if f > ready0 else ready0
+        if booked1 == ops:
+            start1 = done
+        else:
+            f = pim if phase1 == 1 else npu
+            start1 = f if f > ready1 else ready1
+        if start1 < start0:
+            if phase1 == 1:
+                ready1 = pim = start1 + mha1
+                vector_busy += softmax1
+                phase1 = 2
+            elif phase1:
+                ready1 = npu = start1 + projffn1
+                phase1 = 0
+            else:
+                ready1 = npu = start1 + qkv1
+                phase1 = 1
+            booked1 += 1
+        else:
+            if phase0 == 1:
+                ready0 = pim = start0 + mha0
+                vector_busy += softmax0
+                phase0 = 2
+            elif phase0:
+                ready0 = npu = start0 + projffn0
+                phase0 = 0
+            else:
+                ready0 = npu = start0 + qkv0
+                phase0 = 1
+            booked0 += 1
+    return (ready1 if ready1 > ready0 else ready0), vector_busy
 
 
 def shard_for_mha(spec: ModelSpec, tp: int) -> ModelSpec:

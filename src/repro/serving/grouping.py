@@ -40,7 +40,7 @@ from heapq import heappop, heappush
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Set, Tuple)
 
-from repro.serving.request import InferenceRequest, RequestStatus
+from repro.serving.request import DONE, InferenceRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.core.binpack import ChannelLoadTracker
@@ -426,5 +426,5 @@ class ClassTable:
                 self._size -= len(finishing)
             attached, pool.table = pool.table, None
             for request in finishing:
-                pool.transition(request, RequestStatus.DONE)
+                pool.transition(request, DONE)
             pool.table = attached

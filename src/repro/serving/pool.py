@@ -24,7 +24,8 @@ from bisect import bisect_right
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.serving.grouping import ClassKey, ClassTable, class_histogram
-from repro.serving.request import InferenceRequest, RequestStatus
+from repro.serving.request import (DONE, RUNNING, WAITING, InferenceRequest,
+                                   RequestStatus)
 
 
 class RequestPool:
@@ -63,7 +64,7 @@ class RequestPool:
         """
         self._buckets[status].pop(request.request_id, None)
         view = self._sorted[status]
-        if view is not None and status is RequestStatus.WAITING:
+        if view is not None and status is WAITING:
             head = self._waiting_head
             if head < len(view) and view[head] is request:
                 self._waiting_head = head + 1
@@ -81,7 +82,7 @@ class RequestPool:
             bucket = self._buckets[status]
             view = [bucket[rid] for rid in sorted(bucket)]
             self._sorted[status] = view
-            if status is RequestStatus.WAITING:
+            if status is WAITING:
                 # Waiting requests sort by (arrival_time, id); re-sort the
                 # id-ordered view (stable) and remember the arrival keys.
                 view.sort(key=lambda r: r.arrival_time)
@@ -100,7 +101,7 @@ class RequestPool:
         self._requests[request.request_id] = request
         self._buckets[request.status][request.request_id] = request
         self._sorted[request.status] = None
-        if self.table is not None and request.status is RequestStatus.RUNNING:
+        if self.table is not None and request.status is RUNNING:
             self.table.join(request)
 
     def submit_all(self, requests: Iterable[InferenceRequest]) -> None:
@@ -133,9 +134,9 @@ class RequestPool:
         self._sorted[status] = None
         table = self.table
         if table is not None:
-            if old is RequestStatus.RUNNING:
+            if old is RUNNING:
                 table.leave(request)
-            elif status is RequestStatus.RUNNING:
+            elif status is RUNNING:
                 table.join(request)
 
     # ------------------------------------------------------------------
@@ -144,7 +145,7 @@ class RequestPool:
 
     def waiting(self, now: float = float("inf")) -> List[InferenceRequest]:
         """Waiting requests that have arrived by ``now``, FIFO by arrival."""
-        view = self._bucket_sorted(RequestStatus.WAITING)
+        view = self._bucket_sorted(WAITING)
         head = self._waiting_head
         if head == len(view):
             return []
@@ -155,37 +156,37 @@ class RequestPool:
 
     def waiting_count(self) -> int:
         """Number of waiting requests (no scan, no sort)."""
-        return len(self._buckets[RequestStatus.WAITING])
+        return len(self._buckets[WAITING])
 
     def has_waiting_arrived(self, now: float) -> bool:
         """Whether any waiting request has arrived by ``now`` (O(1) after
         the cached arrival-sorted view is built)."""
-        view = self._bucket_sorted(RequestStatus.WAITING)
+        view = self._bucket_sorted(WAITING)
         head = self._waiting_head
         return head < len(view) and self._waiting_arrivals[head] <= now
 
     def next_arrival(self) -> Optional[InferenceRequest]:
         """The earliest-arriving waiting request (ties by id), or ``None``;
         O(1) after the cached arrival-sorted view is built."""
-        view = self._bucket_sorted(RequestStatus.WAITING)
+        view = self._bucket_sorted(WAITING)
         head = self._waiting_head
         return view[head] if head < len(view) else None
 
     def running(self) -> List[InferenceRequest]:
         """Requests currently in the generation batch."""
-        return list(self._bucket_sorted(RequestStatus.RUNNING))
+        return list(self._bucket_sorted(RUNNING))
 
     def running_count(self) -> int:
         """Size of the generation batch (no scan, no sort)."""
-        return len(self._buckets[RequestStatus.RUNNING])
+        return len(self._buckets[RUNNING])
 
     def finished(self) -> List[InferenceRequest]:
         """Completed requests still present in the pool."""
-        return list(self._bucket_sorted(RequestStatus.DONE))
+        return list(self._bucket_sorted(DONE))
 
     def has_finished(self) -> bool:
         """Whether any request awaits retirement (no scan)."""
-        return bool(self._buckets[RequestStatus.DONE])
+        return bool(self._buckets[DONE])
 
     def retire_finished(self) -> List[InferenceRequest]:
         """Remove and return finished requests (iteration boundary)."""
@@ -205,11 +206,11 @@ class RequestPool:
         if request is None:
             raise KeyError(f"unknown request id {request_id}")
         self._drop(request)
-        if self.table is not None and request.status is RequestStatus.RUNNING:
+        if self.table is not None and request.status is RUNNING:
             self.table.leave(request)
         return request
 
-    def class_histogram(self, status: RequestStatus = RequestStatus.RUNNING
+    def class_histogram(self, status: RequestStatus = RUNNING
                         ) -> Dict[ClassKey, int]:
         """Equivalence classes of one status bucket, with multiplicities.
 
@@ -233,7 +234,7 @@ class RequestPool:
     def channel_occupancy(self, num_channels: int) -> List[int]:
         """Running-request count per channel (for the Figure 7 table view)."""
         counts = [0] * num_channels
-        for request in self._buckets[RequestStatus.RUNNING].values():
+        for request in self._buckets[RUNNING].values():
             if request.channel is not None:
                 counts[request.channel] += 1
         return counts

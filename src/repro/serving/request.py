@@ -31,6 +31,12 @@ class RequestStatus(Enum):
     __hash__ = object.__hash__
 
 
+#: Module aliases of the members: an enum member load is an attribute
+#: lookup on the class, which the per-request paths import these to skip.
+WAITING, RUNNING, DONE = (RequestStatus.WAITING, RequestStatus.RUNNING,
+                          RequestStatus.DONE)
+
+
 @dataclass
 class InferenceRequest:
     """One LLM inference request.

@@ -41,7 +41,7 @@ from repro.serving.events import (FaultInjected, IterationCompleted,
 from repro.serving.grouping import ClassTable, GroupedExecutor
 from repro.serving.paging import OutOfMemoryError, PagedKvAllocator
 from repro.serving.pool import RequestPool
-from repro.serving.request import InferenceRequest, RequestStatus
+from repro.serving.request import DONE, RUNNING, WAITING, InferenceRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.binpack import ChannelLoadTracker
@@ -269,7 +269,7 @@ class IterationScheduler:
                     request.channel = None
                     continue
             request.channel = channel
-            self.pool.transition(request, RequestStatus.RUNNING)
+            self.pool.transition(request, RUNNING)
             if self.load_tracker is not None:
                 self.load_tracker.add(request)
             if resilience is not None and resilience.preempting is not None:
@@ -335,7 +335,7 @@ class IterationScheduler:
         resilience = self.resilience
         if resilience is not None and resilience.preempting is not None:
             resilience.preempting.preempted.pop(request.request_id, None)
-        request.status = RequestStatus.WAITING
+        request.status = WAITING
         request.channel = None
 
     def _detach(self, request: InferenceRequest) -> None:
@@ -345,7 +345,7 @@ class IterationScheduler:
         if self.latency_tracker is not None:
             self.latency_tracker.note_completion(rid)
         if self.load_tracker is not None and \
-                request.status is RequestStatus.RUNNING:
+                request.status is RUNNING:
             self.load_tracker.remove(request)
         if self.allocators is not None:
             self.kv_page_churn += self.allocators[0].blocks_for(
@@ -396,7 +396,7 @@ class IterationScheduler:
         if self.latency_tracker is not None:
             self.latency_tracker.note_completion(rid)
         if self.load_tracker is not None and \
-                request.status is RequestStatus.RUNNING:
+                request.status is RUNNING:
             self.load_tracker.remove(request)
         self.pool.evict(rid)
         if resilience.preempting is not None and \
@@ -404,7 +404,7 @@ class IterationScheduler:
             resilience.preempting.preempt(request)
         # Evicted, so the demotion is a plain field write; the resubmit
         # below files the request under WAITING.
-        request.status = RequestStatus.WAITING
+        request.status = WAITING
         request.channel = None
         resilience.attempts[rid] = attempt
         arrival = self._now + resilience.retry_delay(attempt)
@@ -648,7 +648,7 @@ class IterationScheduler:
         for request in batch:
             request.advance(1)
             if request.is_finished:
-                self.pool.transition(request, RequestStatus.DONE)
+                self.pool.transition(request, DONE)
             if self.load_tracker is not None:
                 self.load_tracker.update(request)
             if self.allocators is not None and request.channel is not None:
@@ -677,7 +677,7 @@ class IterationScheduler:
                         # the paper's experiments are sized to avoid
                         # this).
                         request.generated = request.output_len
-                        self.pool.transition(request, RequestStatus.DONE)
+                        self.pool.transition(request, DONE)
                     events = self.events
                     if events is not None and events.active:
                         events.emit(KvPressure(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import settings
 
@@ -16,6 +18,16 @@ from repro.serving.trace import SHAREGPT, warmed_batch
 #: ``pytest --hypothesis-profile=ci`` (tests pinning their own
 #: ``max_examples`` keep it).
 settings.register_profile("ci", max_examples=500, deadline=None)
+
+
+@dataclass(frozen=True)
+class KinkedEstimator(MhaLatencyEstimator):
+    """Algorithm 1 plus a dyadic extra slope from seq_len ``kink`` on."""
+
+    kink: int = 300
+
+    def estimate(self, seq_len: int) -> float:
+        return super().estimate(seq_len) + 8.0 * max(0, seq_len - self.kink)
 
 
 @pytest.fixture

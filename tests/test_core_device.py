@@ -19,7 +19,7 @@ from repro.serving.grouping import merge_histograms, mha_histogram
 from repro.serving.trace import SHAREGPT, warmed_batch
 from repro.sim.engine import Resource
 
-from tests.conftest import make_request
+from tests.conftest import KinkedEstimator, make_request
 
 
 def device_with(config=None, layers=4, tp=1):
@@ -372,16 +372,6 @@ def counted_passes(device):
     return passes
 
 
-@dataclass(frozen=True)
-class KinkedEstimator(MhaLatencyEstimator):
-    """Algorithm 1 plus a dyadic extra slope from seq_len ``kink`` on."""
-
-    kink: int = 300
-
-    def estimate(self, seq_len: int) -> float:
-        return super().estimate(seq_len) + 8.0 * max(0, seq_len - self.kink)
-
-
 CONFIGS = [
     NeuPimsConfig(),
     NeuPimsConfig(dual_row_buffer=False),
@@ -485,6 +475,88 @@ class TestClosedFormSteps:
                 reference.iteration(advanced(crossing, shift))
         assert not device._affine_ok
         assert len(passes) == 2 * 40
+
+
+@dataclass(frozen=True)
+class FallingEstimator(MhaLatencyEstimator):
+    """A dyadic estimate that falls by Algorithm 1's slope per token."""
+
+    def estimate(self, seq_len: int) -> float:
+        return 2.0 ** 16 - super().estimate(seq_len)
+
+
+class TestFrontier:
+    """A closed-form step reads its most-loaded channel among the basis's
+    frontier in (load, members); the max channel may switch inside a
+    window, and a falling load must not be pruned at all."""
+
+    # Channel 0: two long contexts, the most-loaded channel at shift 0
+    # (one per sub-batch, 15,145 cycles each at seq_len 440).  Channel 1:
+    # eight short ones (four per sub-batch, 4 x 3,627.5 = 14,510 cycles
+    # at seq_len 100), gaining three times as fast per step: channel 1
+    # overtakes in each sub-batch and in the whole batch at shift 7.
+    REQUESTS = [(440, 0), (440, 0)] + [(100, 1)] * 8
+
+    @staticmethod
+    def _requests():
+        return [make_request(i, input_len=input_len, output_len=64,
+                             channel=channel)
+                for i, (input_len, channel) in
+                enumerate(TestFrontier.REQUESTS)]
+
+    @pytest.mark.parametrize("config", [
+        NeuPimsConfig(),  # the serialized whole batch wins
+        NeuPimsConfig(adaptive_sbi=False),  # the interleaved halves
+        NeuPimsConfig(sub_batch_interleaving=False),  # one basis
+    ])
+    def test_max_channel_switches_inside_a_window(self, config):
+        device = NeuPimsDevice(GPT3_7B, config, layers_resident=2)
+        reqs = self._requests()
+        plan = device.prepare_class_plan(reqs)
+        passes = counted_passes(device)
+        argmax = set()
+        for shift in range(16):
+            advanced_reqs = advanced(reqs, shift)
+            reference = NeuPimsDevice(GPT3_7B, config, layers_resident=2)
+            assert device.iteration_from_plan(plan, shift) == \
+                reference.iteration(advanced_reqs)
+            loads = reference.mha_stage(advanced_reqs).loads
+            argmax.add(max(loads, key=loads.get))
+        assert argmax == {0, 1}  # the premise: the max channel switched
+        assert len(passes) == (1 if plan.split is None else 2)
+
+    @pytest.mark.parametrize("config", [
+        NeuPimsConfig(sub_batch_interleaving=False),  # one basis
+        NeuPimsConfig(),  # two bases; the whole batch's max channel
+    ])
+    def test_falling_load_keeps_every_channel(self, config):
+        """With a falling load the channel with more members falls
+        faster: channel 1 dominates channel 0 in (load, members) at the
+        basis, yet channel 0 is the most loaded later on."""
+        estimator = FallingEstimator(spec=GPT3_7B, org=NeuPimsConfig().org,
+                                     latencies=analytic_latencies())
+        device = NeuPimsDevice(GPT3_7B, config, layers_resident=2,
+                               estimator=estimator)
+        # Channel 1: two contexts at seq_len 960 (2 x 32,776 cycles),
+        # falling by 67.75 per step; channel 0: one at seq_len 20
+        # (64,618.5), falling by 33.875: channel 0 overtakes at shift 28.
+        reqs = [make_request(0, input_len=20, channel=0),
+                make_request(1, input_len=960, channel=1),
+                make_request(2, input_len=960, channel=1)]
+        plan = device.prepare_class_plan(reqs)
+        passes = counted_passes(device)
+        argmax = set()
+        for shift in range(41):
+            advanced_reqs = advanced(reqs, shift)
+            reference = NeuPimsDevice(GPT3_7B, config, layers_resident=2,
+                                      estimator=estimator)
+            assert device.iteration_from_plan(plan, shift) == \
+                reference.iteration(advanced_reqs)
+            loads = reference.mha_stage(advanced_reqs).loads
+            argmax.add(max(loads, key=loads.get))
+        assert argmax == {0, 1}
+        assert device._affine_steps[1] < 0
+        assert len(passes) == (1 if plan.split is None else 2)
 
 
 class TestShardForMha:

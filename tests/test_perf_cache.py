@@ -10,9 +10,12 @@ paths, invalidation, and the live-load tracker against recomputation.
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.binpack import (ChannelLoadTracker, channel_loads,
                                 greedy_min_load_assign)
+from repro.core.device import NeuPimsDevice
 from repro.core.estimator import MhaLatencyEstimator, analytic_latencies
 from repro.dram.timing import HbmOrganization, PimTiming, TimingParams
 from repro.model.spec import get_model
@@ -24,6 +27,8 @@ from repro.perf.streams import STREAM_CACHE
 from repro.pim.engine import calibrate
 from repro.pim.gemv import GemvOp, composite_stream, fine_grained_stream
 from repro.serving.request import InferenceRequest
+
+from tests.conftest import KinkedEstimator
 
 ORG = HbmOrganization()
 
@@ -307,6 +312,19 @@ class TestChannelLoadTracker:
             tracker.add(req)
 
 
+_tracker_op = st.one_of(
+    # Some contexts fall below the affine guard's floor (seq_len 6-16).
+    st.tuples(st.just("add"), st.one_of(st.integers(1, 20),
+                                        st.integers(1, 600)),
+              st.integers(0, 3)),
+    st.tuples(st.just("remove"), st.integers(0, 63)),
+    st.tuples(st.just("update"), st.integers(0, 63), st.integers(0, 5)),
+    st.tuples(st.just("sync"), st.integers(0, 63), st.integers(0, 3),
+              st.integers(0, 5)),
+    st.tuples(st.just("shift"), st.integers(0, 40)),
+)
+
+
 class TestLoadTrackerShift:
     """A window close shifts every tracked context at once; loads must be
     bit-equal to a fresh tracker fed the advanced requests."""
@@ -397,3 +415,93 @@ class TestLoadTrackerShift:
         assert tracker.loads == self._fresh_loads(est, requests)
         tracker.remove(requests[0])
         assert tracker.loads == self._fresh_loads(est, requests[1:])
+
+    @staticmethod
+    def _guarded(channels, est=None):
+        """A device's tracker, carrying the device's affine guard."""
+        device = NeuPimsDevice(get_model("gpt3-7b"), layers_resident=2,
+                               estimator=est, channel_pool=channels)
+        return device, device.attach_load_tracker()
+
+    @staticmethod
+    def _hex(loads):
+        return [load.hex() for load in loads]
+
+    @settings(deadline=None)
+    @given(ops=st.lists(st.tuples(_tracker_op, st.booleans()),
+                        max_size=40))
+    def test_guarded_shift_matches_fresh_tracker(self, ops):
+        """Any add/remove/update/sync_member/shift sequence, the loads
+        read after a random subset of the ops (so a shift meets cached
+        and dropped channels alike): every read equals, bit for bit, a
+        fresh tracker over the same requests."""
+        channels = 4
+        device, tracker = self._guarded(channels)
+        live = {}
+        for (kind, *args), peek in ops:
+            rids = sorted(live)
+            if kind == "add":
+                seq, channel = args
+                req = request(len(rids) and rids[-1] + 1, seq, channel)
+                req.output_len = 4096
+                tracker.add(req)
+                live[req.request_id] = req
+            elif kind == "shift":
+                self._advance(live.values(), args[0])
+                tracker.shift(args[0])
+            elif rids:
+                req = live[rids[args[0] % len(rids)]]
+                if kind == "remove":
+                    tracker.remove(req)
+                    del live[req.request_id]
+                elif kind == "update":
+                    req.generated += args[1]
+                    tracker.update(req)
+                else:  # sync_member, possibly to another channel
+                    req.channel = args[1]
+                    req.generated += args[2]
+                    tracker.sync_member(req.request_id, req.channel,
+                                        req.seq_len)
+            if peek:
+                assert self._hex(tracker.loads) == self._hex(
+                    self._fresh_loads(device.estimator, live.values(),
+                                      channels))
+        assert len(tracker) == len(live)
+        assert self._hex(tracker.loads) == self._hex(
+            channel_loads(live.values(), device.estimator, channels))
+
+    def test_guarded_shift_keeps_the_cache(self):
+        """Where the guard vouches for every tracked seq_len, a shift
+        steps the cached loads instead of dropping them."""
+        device, tracker = self._guarded(3)
+        requests = [request(i, 40 + 17 * i, channel=i % 3)
+                    for i in range(9)]
+        for req in requests:
+            tracker.add(req)
+        tracker.loads  # fill the cache
+        self._advance(requests, 5)
+        tracker.shift(5)
+        assert None not in tracker._cache
+        assert self._hex(tracker.loads) == self._hex(
+            self._fresh_loads(device.estimator, requests))
+
+    def test_kinked_estimator_recomputes(self):
+        """A shift across a slope change: the guard refuses, the cache is
+        dropped and the loads are re-summed."""
+        est = KinkedEstimator(spec=get_model("gpt3-7b"), org=ORG,
+                              latencies=analytic_latencies())
+        device, tracker = self._guarded(3, est)
+        requests = [request(i, 200 + 3 * i, channel=i % 3)
+                    for i in range(9)]
+        for req in requests:
+            tracker.add(req)
+        tracker.loads
+        self._advance(requests, 2)
+        tracker.shift(2)  # contexts 202..226, well below the kink (300)
+        assert None not in tracker._cache
+        tracker.loads
+        self._advance(requests, 90)
+        tracker.shift(90)  # contexts 292..316: across it
+        assert tracker._cache == [None] * 3 and not device._affine_ok
+        assert self._hex(tracker.loads) == self._hex(
+            self._fresh_loads(device.estimator, requests))
