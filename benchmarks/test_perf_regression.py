@@ -93,7 +93,7 @@ def test_stream_build_interning(benchmark):
     interned_stream(BIG_GEMV, ORG, composite=False)  # warm the cache
 
     warm = benchmark(lambda: interned_stream(BIG_GEMV, ORG, composite=False))
-    assert list(warm) == cold
+    assert warm == cold
 
     warm_start = time.perf_counter()
     for _ in range(100):

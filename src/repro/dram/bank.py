@@ -227,11 +227,10 @@ class Bank:
                 parts.append(buf.act_allowed_at - base)
                 parts.append(buf.last_col_time - base)
             return tuple(parts)
+        # Every reader of ``pim_busy_until`` is guarded by blocked mode,
+        # so it is dead here (though a refresh still moves it).
         timing = self.timing
-        parts = [
-            self.pim_busy_until - base,
-            max(self._last_act_any, horizon - timing.tRRD_L) - base,
-        ]
+        parts = [max(self._last_act_any, horizon - timing.tRRD_L) - base]
         for buf in self._bufs:
             parts.append(buf.open_row)
             parts.append(max(buf.act_time, horizon - timing.tRCD) - base)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 
 class CommandType(Enum):
@@ -137,6 +137,39 @@ class Command:
     @property
     def target(self) -> BufferTarget:
         return buffer_target(self.ctype)
+
+    def at_wave(self, wave: int) -> "Command":
+        """This template command as issued in repetition ``wave``: a row,
+        if it has one, advances by one per repetition."""
+        if not wave or self.row is None:
+            return self
+        return Command(self.ctype, self.bank, self.row + wave, self.banks,
+                       self.k, self.meta)
+
+
+@dataclass(frozen=True)
+class CommandStream:
+    """``prefix``, ``waves`` repetitions of ``template`` (rows advancing
+    per :meth:`Command.at_wave`), then ``suffix``: iterating yields every
+    command, ``len`` is arithmetic, and the controller consumes the runs
+    by position, so a replayed wave is never built."""
+
+    prefix: Tuple[Command, ...] = ()
+    template: Tuple[Command, ...] = ()
+    waves: int = 0
+    suffix: Tuple[Command, ...] = ()
+
+    def runs(self) -> Tuple[Tuple[Tuple[Command, ...], int], ...]:
+        """The ``(commands, repetitions)`` runs, in order."""
+        return ((self.prefix, 1), (self.template, self.waves), (self.suffix, 1))
+
+    def __len__(self) -> int:
+        return sum(len(run) * reps for run, reps in self.runs())
+
+    def __iter__(self) -> Iterator[Command]:
+        for run, reps in self.runs():
+            for wave in range(reps):
+                yield from (cmd.at_wave(wave) for cmd in run)
 
 
 def ca_bus_cycles(ctype: CommandType) -> int:

@@ -20,17 +20,83 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from math import lcm
 from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.dram.channel import Channel, IssueRecord
-from repro.dram.commands import BufferTarget, Command, CommandType
+from repro.dram.commands import (BufferTarget, Command, CommandStream,
+                                 CommandType)
 from repro.sim.stats import StatsRegistry
 
 #: Timing-relevant fields of a command: row and meta never affect timing
 #: (rows cycle per wave, tags vary per request), so replay matches on these.
 _shape = attrgetter("ctype", "bank", "banks", "k")
+
+
+class CommandQueue:
+    """FIFO of commands held as runs: ``(commands, total)``, the total
+    counting every repetition of the command tuple.
+
+    A :class:`~repro.dram.commands.CommandStream` enqueues its runs, any
+    other sequence one run.  Only a command actually issued is built
+    (:meth:`~repro.dram.commands.Command.at_wave`); skipping is arithmetic.
+    """
+
+    def __init__(self) -> None:
+        self._runs: Deque[Tuple[Tuple[Command, ...], int]] = deque()
+        self._pos = 0                # commands consumed of the head run
+        self._len = 0
+
+    def extend(self, commands) -> None:
+        """Append a stream descriptor's runs, or any command sequence."""
+        runs = (commands.runs() if isinstance(commands, CommandStream)
+                else ((tuple(commands), 1),))
+        for run, reps in runs:
+            if run and reps:
+                self._runs.append((run, len(run) * reps))
+                self._len += len(run) * reps
+
+    def __len__(self) -> int:
+        return self._len
+
+    def head(self) -> Command:
+        """The next command, built for its wave."""
+        run, _ = self._runs[0]
+        wave, index = divmod(self._pos, len(run))
+        return run[index].at_wave(wave)
+
+    def skip(self, count: int = 1) -> None:
+        """Consume ``count`` commands from the head."""
+        self._len -= count
+        self._pos += count
+        while self._runs and self._pos >= self._runs[0][1]:
+            self._pos -= self._runs.popleft()[1]
+
+    def count_reps(self, block: List[Command],
+                   limit: Optional[int] = None) -> int:
+        """Full repetitions of ``block`` at the head, matching on
+        :data:`_shape`: at most ``limit`` (``None``: no bound; zero or less
+        scans nothing).  Past the ``lcm`` of a run's length and the block's
+        both repeat, so the rest of the run matches without a look."""
+        n = len(block)
+        full = self._len // n
+        if limit is not None:
+            if limit <= 0:
+                return 0
+            full = min(full, limit)
+        shapes = [_shape(cmd) for cmd in block]
+        done, start, want = 0, self._pos, full * n
+        for run, total in self._runs:
+            if done >= want:
+                break
+            size = len(run)
+            avail = min(total - start, want - done)
+            for i in range(min(avail, lcm(size, n))):
+                if _shape(run[(start + i) % size]) != shapes[(done + i) % n]:
+                    return (done + i) // n
+            done, start = done + avail, 0
+        return full
 
 
 @dataclass
@@ -122,8 +188,8 @@ class MemoryController:
         self.channel = channel
         self.config = config or ControllerConfig()
         self.stats = stats or channel.stats
-        self.mem_queue: Deque[Command] = deque()
-        self.pim_queue: Deque[Command] = deque()
+        self.mem_queue = CommandQueue()
+        self.pim_queue = CommandQueue()
         self._next_refresh = float(channel.timing.tREFI)
         self._pending_gemv_cycles = 0.0
         self.records: List[IssueRecord] = []
@@ -230,7 +296,7 @@ class MemoryController:
                 self.stats.add("refresh.act_replays",
                                len(self._open_mem_rows))
 
-    def _select_queue(self) -> Optional[Deque[Command]]:
+    def _select_queue(self) -> Optional[CommandQueue]:
         """Pick the queue whose head can issue first.
 
         PIM commands are gated by the PIM flow's completion frontier (the
@@ -260,9 +326,9 @@ class MemoryController:
         queue = self._select_queue()
         if queue is None:
             return None
-        cmd = queue[0]
+        cmd = queue.head()
         self._maybe_refresh(cmd)
-        queue.popleft()
+        queue.skip()
 
         interrupted = False
         earliest = self._pim_frontier if cmd.is_pim else 0.0
@@ -350,7 +416,7 @@ class MemoryController:
         """
         self.replay = ReplaySummary()
         self._reset_runs()
-        history: Dict[tuple, _RunBoundary] = {}
+        history: Dict[tuple, Dict[Optional[float], _RunBoundary]] = {}
         log: List[Command] = []
         hunting = hunt_budget > 0
         observations = 0
@@ -367,7 +433,7 @@ class MemoryController:
                 # so they neither observe nor count toward re-anchoring.
                 if (queue is not None and len(queue) >= 2
                         and not self._open_pim_acts):
-                    sig = _shape(queue[0])
+                    sig = _shape(queue.head())
                     if anchor is None or misses > self._REANCHOR_AFTER:
                         anchor = sig
                         misses = 0
@@ -408,7 +474,7 @@ class MemoryController:
     #: Hard cap on the popped-command log retained while hunting.
     _LOG_CAP = 1 << 16
 
-    def _single_queue(self) -> Optional[Deque[Command]]:
+    def _single_queue(self) -> Optional[CommandQueue]:
         """The active queue when exactly one has pending commands."""
         if self.pim_queue and not self.mem_queue:
             return self.pim_queue
@@ -492,8 +558,9 @@ class MemoryController:
             for registry, snapshot in zip(self._stat_registries(),
                                           previous.counters))
 
-    def _observe_boundary(self, queue: Deque[Command],
-                          history: Dict[tuple, _RunBoundary],
+    def _observe_boundary(self, queue: CommandQueue,
+                          history: Dict[tuple, Dict[Optional[float],
+                                                    _RunBoundary]],
                           log: List[Command]) -> bool:
         """Snapshot the state before a pop; replay a run when it recurs.
 
@@ -507,8 +574,13 @@ class MemoryController:
                 and self._reuse_run(queue)):
             return True
         boundary = self._boundary(len(log))
-        previous = history.get(key)
-        history[key] = boundary
+        # Per key, boundaries by refresh offset, the latest last: an exact
+        # recurrence is found even when the latest one is at another offset.
+        filed = history.setdefault(key, {})
+        previous = filed.pop(boundary.refresh_rel, None)
+        if previous is None and filed:
+            previous = filed[next(reversed(filed))]
+        filed[boundary.refresh_rel] = boundary
         if previous is None:
             return False
         period = self._clock - previous.clock
@@ -527,7 +599,7 @@ class MemoryController:
             limit = self._deadline_limited_reps(period, block)
         else:
             limit = 0
-        reps = self._count_matching_reps(queue, block, limit)
+        reps = queue.count_reps(block, limit)
         if reps <= 0:
             return False
         probe_finish = max(
@@ -546,7 +618,7 @@ class MemoryController:
         self._replay(queue, run, reps, shift_refresh=limit is None)
         return True
 
-    def _reuse_run(self, queue: Deque[Command]) -> bool:
+    def _reuse_run(self, queue: CommandQueue) -> bool:
         """Replay the kept run from a state with its key, without a probe.
 
         The kept run was verified refresh-free from this key, so the
@@ -571,7 +643,7 @@ class MemoryController:
         if snapshot is not None:
             per = (self.replay.total - snapshot.pops) // len(run.block)
             period = self._clock - snapshot.clock
-            reps = (self._count_matching_reps(queue, run.block) // per
+            reps = (queue.count_reps(run.block) // per
                     if per > 0 and period > 0 else 0)
             if reps > 0:
                 finish = max(
@@ -588,9 +660,8 @@ class MemoryController:
                 self._replay(queue, interval, reps, shift_refresh=True)
                 return True
         self._snapshots[offset] = self._boundary(self.replay.total)
-        reps = self._count_matching_reps(
-            queue, run.block,
-            self._deadline_limited_reps(run.period, run.block))
+        reps = queue.count_reps(
+            run.block, self._deadline_limited_reps(run.period, run.block))
         if reps <= 0:
             return False
         self._replay(queue, run, reps, shift_refresh=False)
@@ -628,28 +699,7 @@ class MemoryController:
         return all(bank.open_row(other) is None
                    for bank in self.channel.banks)
 
-    @staticmethod
-    def _count_matching_reps(queue: Deque[Command], block: List[Command],
-                             limit: Optional[int] = None) -> int:
-        """Full repetitions of ``block`` at the head of ``queue``.
-
-        Commands match on their :data:`_shape`.  At most ``limit``
-        repetitions are scanned (``None``: no bound); a limit of zero or
-        less scans nothing.
-        """
-        length = len(block)
-        full = len(queue) // length
-        if limit is not None:
-            if limit <= 0:
-                return 0
-            full = min(full, limit)
-        shapes = [_shape(cmd) for cmd in block]
-        for index, cmd in enumerate(islice(queue, full * length)):
-            if _shape(cmd) != shapes[index % length]:
-                return index // length
-        return full
-
-    def _replay(self, queue: Deque[Command], run: _Run, reps: int,
+    def _replay(self, queue: CommandQueue, run: _Run, reps: int,
                 shift_refresh: bool) -> None:
         """Advance state over ``reps`` repetitions of ``run`` in one step.
 
@@ -676,8 +726,7 @@ class MemoryController:
         if shift_refresh:
             self._next_refresh += shift
         count = reps * len(run.block)
-        for _ in range(count):
-            queue.popleft()
+        queue.skip(count)
         self.replay.replayed += count
         self.replay.runs += 1
 

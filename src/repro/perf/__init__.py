@@ -21,7 +21,7 @@ from repro.perf.cache import KeyedCache, Memo, cache, cache_info, invalidate
 from repro.perf.calibration import (CALIBRATION_CACHE, ESTIMATE_CACHE,
                                     MemoizedEstimator, cached_calibrate,
                                     memoized_estimator)
-from repro.perf.streams import STREAM_CACHE, gemv_stream, interned_stream
+from repro.perf.streams import STREAM_CACHE, interned_stream
 
 __all__ = [
     "KeyedCache",
@@ -35,6 +35,5 @@ __all__ = [
     "cached_calibrate",
     "memoized_estimator",
     "STREAM_CACHE",
-    "gemv_stream",
     "interned_stream",
 ]

@@ -1,11 +1,12 @@
 """Interned GEMV command streams.
 
 Serving workloads lower the same GEMV shapes over and over: every request
-of a given sequence length produces identical logit/attend command streams
-(commands are frozen dataclasses, so sharing them between controllers is
-safe).  Stream construction for a 4096x4096 fine-grained GEMV materializes
-10k+ :class:`~repro.dram.commands.Command` objects; interning it makes the
-second and later builds free.
+of a given sequence length produces identical logit/attend command streams.
+A stream is a :class:`~repro.dram.commands.CommandStream` descriptor (a
+prefix, one wave template and a wave count, a suffix), so even a 4096x4096
+fine-grained GEMV holds a few dozen commands: the descriptor, not the
+interning, is what avoids building its 10k commands.  Interning shares
+one frozen descriptor between every controller that drains the shape.
 
 Streams are keyed by every input that shapes them: the GEMV dimensions,
 the HBM organization, the element width, the encoding and the base row.
@@ -15,9 +16,7 @@ differently and misses.
 
 from __future__ import annotations
 
-from typing import Tuple
-
-from repro.dram.commands import Command
+from repro.dram.commands import CommandStream
 from repro.dram.timing import HbmOrganization
 from repro.perf.cache import cache
 from repro.pim.gemv import GemvOp, composite_stream, fine_grained_stream
@@ -25,22 +24,21 @@ from repro.pim.gemv import GemvOp, composite_stream, fine_grained_stream
 #: Registry name of the stream intern table.
 STREAM_CACHE = "gemv_streams"
 
-#: Total commands the intern table may retain.  Streams vary from a few
-#: commands (composite) to 10k+ (large fine-grained GEMVs), so the bound
-#: is weight-based — by retained command count, ~50 MB worst case — not
-#: entry-based; one-shot shape sweeps cannot pin memory indefinitely.
-STREAM_COMMAND_BUDGET = 1 << 18
+#: Total commands the interned descriptors may hold.  A descriptor weighs
+#: its GWRITEs (one per operand page) plus a few, whatever its wave count,
+#: so only sweeps of very wide GEMVs reach the bound.
+STREAM_HELD_BUDGET = 1 << 16
 
 # Created at import so the weight-based bound is configured before any
 # caller can instantiate the table by bare name.
-_STREAMS = cache(STREAM_CACHE, max_entries=4096,
-                 max_weight=STREAM_COMMAND_BUDGET, weight=len)
+_STREAMS = cache(STREAM_CACHE, max_entries=4096, max_weight=STREAM_HELD_BUDGET,
+                 weight=lambda s: sum(len(run) for run, _ in s.runs()))
 
 
 def interned_stream(op: GemvOp, org: HbmOrganization, *,
                     composite: bool = True, dtype_bytes: int = 2,
-                    base_row: int = 0) -> Tuple[Command, ...]:
-    """The command stream for ``op``, interned as an immutable tuple.
+                    base_row: int = 0) -> CommandStream:
+    """The command stream descriptor for ``op``, interned.
 
     The operation *tag* is part of the key (it is stamped into each
     command's ``meta``), so identically shaped GEMVs with different tags
@@ -48,17 +46,5 @@ def interned_stream(op: GemvOp, org: HbmOrganization, *,
     """
     key = (op.rows, op.cols, op.tag, org, composite, dtype_bytes, base_row)
     builder = composite_stream if composite else fine_grained_stream
-
-    def build() -> Tuple[Command, ...]:
-        return tuple(builder(op, org, dtype_bytes, base_row))
-
-    return _STREAMS.get_or_compute(key, build)
-
-
-def gemv_stream(rows: int, cols: int, org: HbmOrganization, *,
-                tag: str = "", composite: bool = True, dtype_bytes: int = 2,
-                base_row: int = 0) -> Tuple[Command, ...]:
-    """Convenience wrapper building the :class:`GemvOp` inline."""
-    return interned_stream(GemvOp(rows=rows, cols=cols, tag=tag), org,
-                           composite=composite, dtype_bytes=dtype_bytes,
-                           base_row=base_row)
+    return _STREAMS.get_or_compute(
+        key, lambda: builder(op, org, dtype_bytes, base_row))

@@ -9,15 +9,19 @@ Figure 9 of the paper:
 * :func:`composite_stream` — the NeuPIMs encoding: ``PIM_HEADER`` +
   ``PIM_GWRITE`` + one ``PIM_GEMV(k)`` + ``PIM_PRECHARGE`` — constant
   command count regardless of ``k``.
+
+Both return a :class:`~repro.dram.commands.CommandStream`: waves differ
+only in their rows, so a stream holds one wave template and a count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import List, Tuple
+from typing import Tuple
 
-from repro.dram.commands import Command, CommandType, ca_bus_cycles
+from repro.dram.commands import (Command, CommandStream, CommandType,
+                                 ca_bus_cycles)
 from repro.dram.timing import HbmOrganization
 
 
@@ -59,37 +63,31 @@ class GemvOp:
         return ceil(self.cols / org.elements_per_page(dtype_bytes))
 
 
-def fine_grained_stream(op: GemvOp, org: HbmOrganization,
-                        dtype_bytes: int = 2, base_row: int = 0) -> List[Command]:
+def fine_grained_stream(op: GemvOp, org: HbmOrganization, dtype_bytes: int = 2,
+                        base_row: int = 0) -> CommandStream:
     """Baseline Newton command stream for one GEMV.
 
-    Returns the full ``GWRITE / (ACT4* DOTPRODUCT)* / RDRESULT`` sequence.
-    Row addresses cycle through ``base_row + wave`` — the actual addresses
-    do not affect timing provided they differ per wave (row misses).
+    The ``GWRITE* / (ACT4* DOTPRODUCT PRECHARGE)* / RDRESULT`` sequence as
+    one wave template repeated per wave: wave ``w`` activates row
+    ``base_row + w`` — the actual addresses do not affect timing provided
+    they differ per wave (row misses).
     """
-    commands: List[Command] = [
-        Command(CommandType.PIM_GWRITE, bank=0, row=base_row + 10_000, meta=op.tag)
-        for _ in range(op.gwrites(org, dtype_bytes))
-    ]
-    groups = [
-        tuple(range(g * org.banks_per_group, (g + 1) * org.banks_per_group))
+    gwrite = Command(CommandType.PIM_GWRITE, bank=0, row=base_row + 10_000,
+                     meta=op.tag)
+    wave = tuple(
+        Command(CommandType.PIM_ACTIVATION, row=base_row, meta=op.tag,
+                banks=tuple(range(g * org.banks_per_group,
+                                  (g + 1) * org.banks_per_group)))
         for g in range(org.bank_groups)
-    ]
-    for wave in range(op.waves(org, dtype_bytes)):
-        row = base_row + wave
-        for group in groups:
-            commands.append(
-                Command(CommandType.PIM_ACTIVATION, banks=group, row=row,
-                        meta=op.tag)
-            )
-        commands.append(Command(CommandType.PIM_DOTPRODUCT, meta=op.tag))
-        commands.append(Command(CommandType.PIM_PRECHARGE, meta=op.tag))
-    commands.append(Command(CommandType.PIM_RDRESULT, meta=op.tag))
-    return commands
+    ) + (Command(CommandType.PIM_DOTPRODUCT, meta=op.tag),
+         Command(CommandType.PIM_PRECHARGE, meta=op.tag))
+    return CommandStream((gwrite,) * op.gwrites(org, dtype_bytes), wave,
+                         op.waves(org, dtype_bytes),
+                         (Command(CommandType.PIM_RDRESULT, meta=op.tag),))
 
 
 def composite_stream(op: GemvOp, org: HbmOrganization,
-                     dtype_bytes: int = 2, base_row: int = 0) -> List[Command]:
+                     dtype_bytes: int = 2, base_row: int = 0) -> CommandStream:
     """NeuPIMs composite command stream for one GEMV.
 
     ``PIM_HEADER`` announces the dimensionality (wave count) so the memory
@@ -97,24 +95,20 @@ def composite_stream(op: GemvOp, org: HbmOrganization,
     and the result readout; ``PIM_PRECHARGE`` releases the PIM row buffers.
     """
     waves = op.waves(org, dtype_bytes)
-    commands: List[Command] = [
-        Command(CommandType.PIM_HEADER, k=waves, meta=op.tag)
-    ]
-    commands.extend(
-        Command(CommandType.PIM_GWRITE, bank=0, row=base_row + 10_000, meta=op.tag)
-        for _ in range(op.gwrites(org, dtype_bytes))
-    )
-    commands.append(Command(CommandType.PIM_GEMV, k=waves, meta=op.tag))
-    commands.append(Command(CommandType.PIM_PRECHARGE, meta=op.tag))
-    return commands
+    gwrite = Command(CommandType.PIM_GWRITE, bank=0, row=base_row + 10_000,
+                     meta=op.tag)
+    return CommandStream(
+        (Command(CommandType.PIM_HEADER, k=waves, meta=op.tag),)
+        + (gwrite,) * op.gwrites(org, dtype_bytes)
+        + (Command(CommandType.PIM_GEMV, k=waves, meta=op.tag),
+           Command(CommandType.PIM_PRECHARGE, meta=op.tag)))
 
 
 def command_count(op: GemvOp, org: HbmOrganization, composite: bool,
                   dtype_bytes: int = 2) -> int:
     """Number of C/A-bus commands for the chosen encoding (Figure 9)."""
-    if composite:
-        return len(composite_stream(op, org, dtype_bytes))
-    return len(fine_grained_stream(op, org, dtype_bytes))
+    return len((composite_stream if composite else fine_grained_stream)(
+        op, org, dtype_bytes))
 
 
 def ca_bus_cost(op: GemvOp, org: HbmOrganization, composite: bool,

@@ -9,6 +9,7 @@ composite streams, GWRITE and RD/WR bursts).
 """
 
 from collections import deque
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from repro.dram.channel import Channel
 from repro.dram.commands import Command, CommandType
-from repro.dram.controller import ControllerConfig, MemoryController
+from repro.dram.controller import (CommandQueue, ControllerConfig,
+                                   MemoryController)
 from repro.dram.timing import HbmOrganization
 from repro.pim.gemv import GemvOp, composite_stream, fine_grained_stream
 from repro.sim.stats import StatsRegistry
@@ -275,28 +277,41 @@ class TestRandomStreams:
         assert fast.replay.total == len(pim) + len(mem)
 
 
-def _blocked_fine(waves):
-    """A blocked-mode fine-grained GEMV of ``waves`` waves."""
+def _fine_waves(waves):
+    """A fine-grained GEMV of ``waves`` waves and one GWRITE."""
     return fine_grained_stream(
         GemvOp(rows=waves * ORG.banks_per_channel,
                cols=ORG.elements_per_page(2), tag="w"), ORG)
+
+
+def _stepped_per_length(dual):
+    """Commands ``drain_fast`` steps for 128, 512 and 1536 waves."""
+    stepped = []
+    for waves in (128, 512, 1536):
+        ctrl = build(dual=dual, header_aware_refresh=False)
+        ctrl.enqueue_pim(_fine_waves(waves))
+        ctrl.drain_fast()
+        assert ctrl.replay.total == len(_fine_waves(waves))
+        assert ctrl.stats.get("refresh.issued") > waves // 16
+        stepped.append(ctrl.replay.stepped)
+    return stepped
 
 
 class TestReplayCounts:
     """Replay pays per run, not per refresh interval or per command."""
 
     def test_blocked_fine_grained_steps_do_not_grow_with_length(self):
-        stepped = []
-        for waves in (128, 512, 1536):
-            ctrl = build(dual=False, header_aware_refresh=False)
-            ctrl.enqueue_pim(_blocked_fine(waves))
-            ctrl.drain_fast()
-            assert ctrl.replay.total == len(_blocked_fine(waves))
-            stepped.append(ctrl.replay.stepped)
+        stepped = _stepped_per_length(dual=False)
+        assert stepped[0] == stepped[1] == stepped[2]
+
+    def test_dual_fine_grained_steps_do_not_grow_with_length(self):
+        # A refresh moves pim_busy_until, which is dead in dual mode and
+        # so kept out of the key: the kept run recurs after each refresh.
+        stepped = _stepped_per_length(dual=True)
         assert stepped[0] == stepped[1] == stepped[2]
 
     def test_long_blocked_stream_crosses_refreshes_in_one_super_period(self):
-        stream = _blocked_fine(512)
+        stream = _fine_waves(512)
         slow, fast = drain_both(stream, dual=False,
                                 header_aware_refresh=False)
         assert slow.stats.get("refresh.issued") > 30
@@ -305,9 +320,10 @@ class TestReplayCounts:
 
     @pytest.mark.parametrize("limit", [None, 0, 1, 3, 1000])
     def test_scan_returns_at_most_limit(self, limit):
-        block = fine_stream(ORG.banks_per_channel, 512)[1:12]
-        queue = deque(block * 8)
-        reps = MemoryController._count_matching_reps(queue, block, limit)
+        block = list(fine_stream(ORG.banks_per_channel, 512))[1:12]
+        queue = CommandQueue()
+        queue.extend(block * 8)
+        reps = queue.count_reps(block, limit)
         assert reps == (8 if limit is None else max(0, min(8, limit)))
 
     @pytest.mark.parametrize("limit", [0, -1, -50])
@@ -317,5 +333,78 @@ class TestReplayCounts:
                 raise AssertionError("scanned the queue")
 
         block = [Command(CommandType.PIM_GWRITE, bank=0, row=1)]
-        queue = Untouchable(block * 4)
-        assert MemoryController._count_matching_reps(queue, block, limit) == 0
+        queue = CommandQueue()
+        queue.extend(block * 4)
+        queue._runs = Untouchable(queue._runs)
+        assert queue.count_reps(block, limit) == 0
+
+
+def _reference_stream(op, org, composite, dtype_bytes=2, base_row=0):
+    """The command lists the stream descriptors stand for, built one
+    command at a time."""
+    waves = op.waves(org, dtype_bytes)
+    commands = [Command(CommandType.PIM_GWRITE, bank=0, row=base_row + 10_000,
+                        meta=op.tag)
+                for _ in range(op.gwrites(org, dtype_bytes))]
+    if composite:
+        return ([Command(CommandType.PIM_HEADER, k=waves, meta=op.tag)]
+                + commands
+                + [Command(CommandType.PIM_GEMV, k=waves, meta=op.tag),
+                   Command(CommandType.PIM_PRECHARGE, meta=op.tag)])
+    groups = [tuple(range(g * org.banks_per_group,
+                          (g + 1) * org.banks_per_group))
+              for g in range(org.bank_groups)]
+    for wave in range(waves):
+        for group in groups:
+            commands.append(Command(CommandType.PIM_ACTIVATION, banks=group,
+                                    row=base_row + wave, meta=op.tag))
+        commands.append(Command(CommandType.PIM_DOTPRODUCT, meta=op.tag))
+        commands.append(Command(CommandType.PIM_PRECHARGE, meta=op.tag))
+    commands.append(Command(CommandType.PIM_RDRESULT, meta=op.tag))
+    return commands
+
+
+class TestStreamDescriptors:
+    """Stream descriptors against the command lists they expand to."""
+
+    @settings(deadline=None)
+    # Up to 8 row rounds x 16 column rounds: several refreshes at most.
+    @given(ops=st.lists(st.tuples(st.booleans(), st.integers(1, 256),
+                                  st.integers(1, 2048)),
+                        min_size=1, max_size=3),
+           page_bytes=st.sampled_from([512, 1024, 2048]),
+           dtype_bytes=st.sampled_from([1, 2, 4]),
+           base_row=st.integers(0, 5_000),
+           dual=st.booleans(), header_aware=st.booleans())
+    def test_descriptor_matches_expansion(self, ops, page_bytes, dtype_bytes,
+                                          base_row, dual, header_aware):
+        org = replace(ORG, page_bytes=page_bytes)
+        streams, expanded = [], []
+        for i, (composite, rows, cols) in enumerate(ops):
+            op = GemvOp(rows=rows, cols=cols, tag=f"g{i}")
+            encode = composite_stream if composite else fine_grained_stream
+            stream = encode(op, org, dtype_bytes, base_row)
+            reference = _reference_stream(op, org, composite, dtype_bytes,
+                                          base_row)
+            assert list(stream) == reference
+            assert len(stream) == len(reference)
+            streams.append(stream)
+            expanded += reference
+        for drain in (MemoryController.drain, MemoryController.drain_fast):
+            controllers = []
+            for fed in (streams, [expanded]):
+                ctrl = MemoryController(
+                    Channel(0, org=org, dual_row_buffer=dual),
+                    ControllerConfig(header_aware_refresh=header_aware))
+                for commands in fed:
+                    ctrl.enqueue_pim(commands)
+                drain(ctrl)
+                controllers.append(ctrl)
+            described, listed = controllers
+            # Stepped commands are built from the descriptor, rows included.
+            assert described.records == listed.records
+            assert described.finish_time == listed.finish_time
+            assert described.stats.as_dict() == listed.stats.as_dict()
+            assert described.counter_view() == listed.counter_view()
+            assert described.replay == listed.replay
+        assert described.replay.total == len(expanded)

@@ -154,3 +154,33 @@ class TestPrechargeAndRefresh:
         assert bank.open_row(BufferTarget.MEM) is None
         assert bank.earliest_activate(BufferTarget.MEM, 0.0) >= \
             100.0 + timing.tRFC
+
+
+class TestStateKey:
+    """The replay digest holds exactly the state that can still matter."""
+
+    @staticmethod
+    def _keys(bank):
+        before = bank.state_key(base=0.0, horizon=0.0)
+        bank.pim_busy_until = 5_000.0
+        return before, bank.state_key(base=0.0, horizon=0.0)
+
+    def test_dual_key_ignores_pim_busy_until(self, timing):
+        # Every reader of the field is guarded by blocked mode.
+        before, after = self._keys(dual_bank(timing))
+        assert before == after
+
+    def test_single_key_includes_pim_busy_until(self, timing):
+        before, after = self._keys(single_bank(timing))
+        assert before != after
+
+    def test_refresh_moves_only_the_single_buffer_key(self, timing):
+        # A refresh sets pim_busy_until in both modes; past the refresh
+        # window the dual key is back to its resting value.
+        for bank, moved in ((dual_bank(timing), False),
+                            (single_bank(timing), True)):
+            horizon = 1_000.0 + timing.tRFC
+            rest = bank.state_key(base=horizon, horizon=horizon)
+            bank.refresh(time=1_000.0, trfc=timing.tRFC)
+            assert (bank.state_key(base=horizon, horizon=horizon)
+                    != rest) is moved

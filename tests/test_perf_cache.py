@@ -20,7 +20,7 @@ from repro.core.estimator import MhaLatencyEstimator, analytic_latencies
 from repro.dram.timing import HbmOrganization, PimTiming, TimingParams
 from repro.model.spec import get_model
 from repro.perf import (Memo, cache, cache_info, cached_calibrate,
-                        gemv_stream, interned_stream, invalidate,
+                        interned_stream, invalidate,
                         memoized_estimator)
 from repro.perf.calibration import ESTIMATE_CACHE
 from repro.perf.streams import STREAM_CACHE
@@ -49,14 +49,14 @@ def estimator():
 class TestStreamInterning:
     def test_matches_uncached_builders(self):
         op = GemvOp(rows=256, cols=1024, tag="x")
-        assert list(interned_stream(op, ORG, composite=True)) \
+        assert interned_stream(op, ORG, composite=True) \
             == composite_stream(op, ORG)
-        assert list(interned_stream(op, ORG, composite=False)) \
+        assert interned_stream(op, ORG, composite=False) \
             == fine_grained_stream(op, ORG)
 
     def test_identical_keys_share_one_object(self):
-        first = gemv_stream(512, 512, ORG)
-        second = gemv_stream(512, 512, ORG)
+        first = interned_stream(GemvOp(rows=512, cols=512), ORG)
+        second = interned_stream(GemvOp(rows=512, cols=512), ORG)
         assert first is second
         assert cache(STREAM_CACHE).hits >= 1
 
@@ -68,7 +68,7 @@ class TestStreamInterning:
         assert other is not base
         # Half the page size doubles the column rounds -> more waves.
         assert len(other) > len(base)
-        assert list(other) == fine_grained_stream(op, small_page)
+        assert other == fine_grained_stream(op, small_page)
 
     def test_dtype_and_encoding_part_of_key(self):
         op = GemvOp(rows=512, cols=512, tag="x")
@@ -79,7 +79,7 @@ class TestStreamInterning:
         assert fine is not fp16
 
     def test_invalidate_drops_entries(self):
-        gemv_stream(128, 128, ORG)
+        interned_stream(GemvOp(rows=128, cols=128), ORG)
         assert cache_info()[STREAM_CACHE]["size"] >= 1
         invalidate(STREAM_CACHE)
         assert cache_info()[STREAM_CACHE]["size"] == 0
@@ -98,16 +98,29 @@ class TestStreamInterning:
         assert table.info()["weight"] == 8
 
     def test_retained_commands_stay_under_budget(self):
-        """One-shot shape sweeps must not pin unbounded command tuples:
-        the intern table is bounded by retained commands, not entries."""
-        from repro.perf.streams import STREAM_COMMAND_BUDGET
-        for i in range(40):
-            gemv_stream(4096, 4096 + 512 * i, ORG, composite=False)
+        """One-shot shape sweeps must not pin unbounded streams: the
+        intern table weighs what each descriptor holds, not the commands
+        it expands to."""
+        from repro.perf.streams import STREAM_HELD_BUDGET
+        streams = [interned_stream(GemvOp(rows=4096, cols=4096 + 512 * i),
+                                   ORG, composite=False)
+                   for i in range(40)]
         info = cache_info()[STREAM_CACHE]
-        assert info["weight"] <= STREAM_COMMAND_BUDGET
-        assert info["size"] < 40
+        held = sum(len(s.prefix) + len(s.template) + len(s.suffix)
+                   for s in streams)
+        assert info["weight"] == held <= STREAM_HELD_BUDGET
+        assert info["size"] == 40
+        assert 100 * held < sum(len(s) for s in streams)
+        # Very wide operands (one GWRITE per page) do fill the budget.
+        for i in range(1, 21):
+            interned_stream(GemvOp(rows=32, cols=512 * 4000 + i), ORG,
+                            composite=False)
+        info = cache_info()[STREAM_CACHE]
+        assert info["weight"] <= STREAM_HELD_BUDGET
+        assert info["size"] < 60
         # The newest entry is still resident (evictions hit the oldest).
-        latest = gemv_stream(4096, 4096 + 512 * 39, ORG, composite=False)
+        latest = interned_stream(GemvOp(rows=32, cols=512 * 4000 + 20), ORG,
+                                 composite=False)
         assert cache_info()[STREAM_CACHE]["hits"] >= 1
         assert len(latest) > 0
 

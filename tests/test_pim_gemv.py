@@ -75,7 +75,7 @@ class TestCompositeStream:
 
     def test_header_carries_wave_count(self, org):
         op = GemvOp(rows=320, cols=1024)
-        stream = composite_stream(op, org)
+        stream = list(composite_stream(op, org))
         header = stream[0]
         gemv = next(c for c in stream if c.ctype is CommandType.PIM_GEMV)
         assert header.k == gemv.k == op.waves(org)
@@ -101,3 +101,23 @@ class TestCompositeStream:
             return sum(1 for c in stream
                        if c.ctype is CommandType.PIM_GWRITE)
         assert gwrites(wide) == 8 * gwrites(narrow)
+
+
+class TestCommandCount:
+    """``command_count`` is the descriptor's arithmetic length."""
+
+    @pytest.mark.parametrize("composite", [False, True])
+    @pytest.mark.parametrize("rows,cols,dtype_bytes", [
+        (1, 1, 2), (32, 512, 2), (33, 513, 2), (320, 4096, 1),
+        (1000, 3000, 4), (4096, 4096, 2)])
+    def test_matches_expansion(self, org, composite, rows, cols,
+                               dtype_bytes):
+        op = GemvOp(rows=rows, cols=cols)
+        builder = composite_stream if composite else fine_grained_stream
+        count = command_count(op, org, composite, dtype_bytes)
+        assert count == len(list(builder(op, org, dtype_bytes)))
+        # HEADER, GEMV and PRECHARGE; or one ACT per bank group, DOTPRODUCT
+        # and PRECHARGE per wave, then RDRESULT.
+        body = (3 if composite
+                else op.waves(org, dtype_bytes) * (org.bank_groups + 2) + 1)
+        assert count == op.gwrites(org, dtype_bytes) + body
