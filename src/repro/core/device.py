@@ -29,9 +29,10 @@ Execution composition depends on the feature flags:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.binpack import (EXACT_BATCH, ChannelLoadTracker,
                                 greedy_min_load_assign, round_robin_assign)
@@ -52,6 +53,9 @@ from repro.serving.request import InferenceRequest
 _PERIODS = (1, 2, 4, 8, 16)
 #: Seq_lens the guard verifies past the top of the range it is asked for.
 _AFFINE_SPAN = 2 * _PERIODS[-1]
+#: A plan re-splits the batch whole once its deltas are more than
+#: 1/_RESPLIT of it: a delta costs about what _RESPLIT members do there.
+_RESPLIT = 4
 
 
 def _dyadic(value: float) -> bool:
@@ -73,18 +77,27 @@ def _class_histogram(channels: Sequence[Tuple[int, List[int]]]
 
 
 def _profile(hist: MhaHistogram, period: int = _PERIODS[-1]):
-    """``({channel: requests}, lowest seq_len, highest seq_len,
-    {seq_len mod period: requests})``: what a stage needs to step in
-    closed form (`NeuPimsDevice._advance`); ``period`` divides
-    ``_PERIODS[-1]``."""
+    """`_basis_profile` of ``hist`` (``period`` divides the last one)."""
     counts: Dict[int, int] = {}
-    residues: Dict[int, int] = {}
+    residues = [0] * _PERIODS[-1]
     for channel, seq_len, count in hist:
         counts[channel] = counts.get(channel, 0) + count
-        residue = seq_len % period
-        residues[residue] = residues.get(residue, 0) + count
+        residues[seq_len % _PERIODS[-1]] += count
     seq_lens = list(map(itemgetter(1), hist))
-    return counts, min(seq_lens), max(seq_lens), residues
+    return _basis_profile(counts, min(seq_lens), max(seq_lens), residues,
+                          period, sum(counts.values()))
+
+
+def _basis_profile(counts: Dict[int, int], low: int, high: int,
+                   residues: List[int], period: int, size: int):
+    """What a stage needs to step in closed form (`NeuPimsDevice._advance`):
+    members per channel, lowest and highest seq_len, per residue modulo
+    ``period`` (``residues`` counts members per residue modulo the last
+    period) its lowest seq_len from ``low`` up (in ``[low, high]``) and
+    members, and the members."""
+    return counts, low, high, tuple([
+        (low + (residue - low) % period, count) for residue in range(period)
+        if (count := sum(residues[residue::period]))]), size
 
 
 def _frontier(rows: List[tuple]) -> List[tuple]:
@@ -117,40 +130,129 @@ class _LiveSplit:
     split of every channel, the two sub-batch histograms and their basis
     MHA stages, over seq_lens relative to the table's offset.
 
-    ``lens``, ``members`` and ``halves`` hold each channel's relative
-    seq_lens in member id order, its size and its first-half size as last
-    planned.  Per sub-batch: ``hist`` is the canonical histogram as a
-    sorted list, and a basis is ``[offset, stage]`` (stage ``None`` when
-    the sub-batch is empty) or ``None`` while unknown, as after a rebuild
-    until a canonical pass supplies it.  A known basis comes with its
-    profile (`_profile`'s members per channel and per seq_len residue)
-    and, while a plan applies deltas, with ``sums``, the basis being
-    updated as ``[loads, raw, softmax, KV bytes]``.
+    ``ids`` and ``lens`` hold each channel's member ids and relative
+    seq_lens in id order.  Of ``2m`` or ``2m + 1`` the first ``m`` are in
+    sub-batch 0, the last ``m`` in 1, and an odd channel's middle one,
+    its *spare*, in ``sides[channel]``: 0 and 1 alternate over the odd
+    channels (Algorithm 3's ``turn``).  Per sub-batch: ``hist``, the
+    canonical histogram as a sorted list; ``spans``, its lowest and
+    highest seq_len (``None`` until found); a basis ``[offset, stage,
+    profile]`` as installed (stage ``None`` if empty), or ``None`` until
+    a canonical pass supplies one; with a basis, ``profiles`` (members
+    per channel and per seq_len residue modulo ``_PERIODS[-1]``) and,
+    while a plan applies deltas, ``sums`` (``[loads, raw, softmax, KV
+    bytes]``).
     """
 
-    def __init__(self, table: ClassTable, channel_pool: int) -> None:
+    def __init__(self, table: ClassTable, channel_pool: int,
+                 split: bool) -> None:
         self.table, self.generation = table, table.generation
-        self.lens: Dict[int, List[int]] = {}
-        self.members = [0] * channel_pool
-        self.halves = [0] * channel_pool
+        self.split, self.channels = split, channel_pool
         self.hist: Tuple[List[Tuple[int, int, int]], ...] = ([], [])
         self.sizes, self.changed = [0, 0], [True, True]
-        self.spans: List[Tuple[int, int]] = [(0, 0), (0, 0)]
+        self.spans: List[Optional[Tuple[int, int]]] = [None, None]
         self.bases: List[Optional[list]] = [None, None]
         self.profiles: List[Optional[tuple]] = [None, None]
         self.sums: List[Optional[list]] = [None, None]
         self.plan: Optional[DeviceClassPlan] = None
-        #: the bases installed with `plan`
-        self.installed: List[Optional[list]] = [None, None]
+        self.restate(None)
+
+    def restate(self, contrib: Optional[Memo]) -> None:
+        """Split the table's batch whole as `prepare_class_plan` does: a
+        sub-batch with a profile changes by its class count differences."""
+        offset = self.table.offset
+        ids: List[List[int]] = [[] for _ in range(self.channels)]
+        lens: List[List[int]] = [[] for _ in range(self.channels)]
+        for request in self.table.batch:
+            channel = request.channel or 0
+            ids[channel].append(request.request_id)
+            lens[channel].append(request.input_len + request.generated
+                                 - offset)
+        sizes = list(map(len, lens))
+        halves = sub_batch_halves(sizes) if self.split else sizes
+        self.ids, self.lens = ids, lens
+        self.sides = [int(2 * half < n) for n, half in zip(sizes, halves)]
+        rows = list(enumerate(zip(lens, halves)))
+        for half, part in enumerate(([(c, row[:h]) for c, (row, h) in rows],
+                                     [(c, row[h:]) for c, (row, h) in rows])):
+            hist = _class_histogram(part)
+            if self.profiles[half] is None:
+                self.hist[half][:] = hist
+                self.sizes[half] = sum(len(row) for _, row in part)
+                self.changed[half], self.spans[half] = True, None
+                continue
+            steps = Counter({row[:2]: row[2] for row in hist})
+            steps.subtract({row[:2]: row[2] for row in self.hist[half]})
+            for (channel, relative), step in steps.items():
+                if step:
+                    self.change(half, channel, relative, step, contrib)
 
     def forget(self, half: int) -> None:
         """Sub-batch ``half``'s basis is unknown from here on."""
         self.bases[half] = self.profiles[half] = self.sums[half] = None
 
+    def relabel(self, steps: Dict[int, int], contrib: Memo) -> None:
+        """Give the spares their sides after deltas of net ``steps`` per
+        channel: from the first parity flip on, a spare in place moves."""
+        lens, sides = self.lens, self.sides
+        first = min([channel for channel, step in steps.items() if step % 2])
+        turn = sum([len(row) % 2 for row in lens[:first]]) % 2
+        for channel in range(first, len(lens)):
+            row = lens[channel]
+            if (len(row) + steps.get(channel, 0)) % 2:
+                if len(row) % 2:
+                    self.move(channel, row[len(row) // 2], sides[channel],
+                              turn, contrib)
+                sides[channel] = turn
+                turn ^= 1
+
+    def delta(self, channel: int, rid: int, relative: int, step: int,
+              contrib: Memo) -> None:
+        """Join (``step`` 1) or leave (-1) member ``rid`` at ``relative``
+        on ``channel``, moving at most one other member of it: a spare
+        into a core, or a core member into the spare's place."""
+        ids, row, spare = self.ids[channel], self.lens[channel], \
+            self.sides[channel]
+        half, at = len(row) // 2, bisect_left(ids, rid)
+        side = int(at > half or at == half and step < 0)
+        if not self.split:
+            side = 0
+        elif at == half and (step < 0) == (len(row) % 2 == 1):
+            side = spare  # the spare leaves, or the joiner is the spare
+        elif len(row) % 2:
+            self.move(channel, row[half], spare,
+                      side if step < 0 else 1 - side, contrib)
+        else:
+            index = half - 1 if (at < half) == (step > 0) else half
+            self.move(channel, row[index], int(index >= half), spare,
+                      contrib)
+        if step > 0:
+            ids.insert(at, rid)
+            row.insert(at, relative)
+        else:
+            del ids[at], row[at]
+        self.change(side, channel, relative, step, contrib)
+
     def change(self, half: int, channel: int, relative: int, step: int,
                contrib: Memo) -> None:
         """Add ``step`` members (remove, if negative) to sub-batch
-        ``half`` at ``relative`` on ``channel``."""
+        ``half`` at ``relative`` on ``channel``: the per-member update."""
+        self._add(half, channel, relative, step,
+                  contrib[relative + self.table.offset]
+                  if self.profiles[half] else None)
+
+    def move(self, channel: int, relative: int, was: int, now: int,
+             contrib: Memo) -> None:
+        """Move a member at ``relative`` on ``channel`` from sub-batch
+        ``was`` to ``now`` (contribution read once for both)."""
+        if was != now:
+            values = (contrib[relative + self.table.offset]
+                      if self.profiles[was] or self.profiles[now] else None)
+            self._add(was, channel, relative, -1, values)
+            self._add(now, channel, relative, 1, values)
+
+    def _add(self, half: int, channel: int, relative: int, step: int,
+             values: Optional[Tuple[float, ...]]) -> None:
         self.changed[half] = True
         self.sizes[half] += step
         hist = self.hist[half]
@@ -160,12 +262,15 @@ class _LiveSplit:
             hist[at:at + 1] = [(channel, relative, count)] if count else []
         else:
             hist.insert(at, (channel, relative, step))
+        span = self.spans[half]
+        if span and not span[0] < relative < span[1]:
+            self.spans[half] = None if step < 0 else (
+                min(span[0], relative), max(span[1], relative))
         if self.profiles[half] is None:
             return
         counts, residues = self.profiles[half]
-        _bump(residues, relative % _PERIODS[-1], step)
-        estimate, load, softmax, kv_bytes = \
-            contrib[relative + self.table.offset]
+        residues[relative % _PERIODS[-1]] += step
+        estimate, load, softmax, kv_bytes = values
         sums = self.sums[half]
         if _bump(counts, channel, step):
             sums[0][channel] = sums[0].get(channel, 0.0) + step * load
@@ -174,28 +279,6 @@ class _LiveSplit:
         sums[1] += step * estimate
         sums[2] += step * softmax
         sums[3] += step * kv_bytes
-
-    def restate(self, half: int, channel: int, part: List[int],
-                contrib: Memo) -> None:
-        """Make the relative seq_lens ``part`` sub-batch ``half``'s
-        members on ``channel``: without a basis to keep up the rows are
-        replaced, with one each class that changed is changed."""
-        hist = self.hist[half]
-        start = bisect_left(hist, (channel,))
-        end = bisect_left(hist, (channel + 1,), start)
-        old, rows = hist[start:end], list(_class_histogram(((channel, part),)))
-        if self.profiles[half] is None:
-            if old != rows:
-                self.sizes[half] += len(part) - sum(row[2] for row in old)
-                hist[start:end] = rows
-                self.changed[half] = True
-            return
-        steps = {relative: -count for _, relative, count in old}
-        for _, relative, count in rows:
-            steps[relative] = steps.get(relative, 0) + count
-        for relative, step in steps.items():
-            if step:
-                self.change(half, channel, relative, step, contrib)
 
 
 @dataclass
@@ -501,22 +584,19 @@ class NeuPimsDevice:
         raw, softmax, KV bytes)``: channel ``c``'s load is its basis load
         plus the load step times its members.  ``None`` where `_affine`
         does not vouch for the seq_lens crossed.  A residue's softmax
-        step is read at its lowest seq_len in ``[low, high]``: under the
-        guard every member of a residue modulo `_period` steps alike (the
-        profile's residues are modulo a multiple of it)."""
+        step is read at its profile seq_len: under the guard every member
+        of a residue modulo `_period` steps alike, and the profile's
+        residues are modulo a multiple of it."""
         if start == shift:  # the basis itself, whatever the guard says
             return (0.0, stage.raw_total, stage.softmax_cycles,
                     stage.internal_bytes)
-        _, low, high, residues = profile
+        _, low, high, rows, size = profile
         if not (start < shift and self._affine(low + start, high + shift)):
             return None
         contrib = self._class_contrib
         then, now = contrib[low + start], contrib[low + shift]
-        size = sum(residues.values())  # the members, over few keys
         softmax = stage.softmax_cycles
-        period = self._period  # read after the guard, which may seed it
-        for residue, count in residues.items():
-            seq_len = low + (residue - low) % period
+        for seq_len, count in rows:
             softmax += count * (contrib[seq_len + shift][2]
                                 - contrib[seq_len + start][2])
         return (now[1] - then[1],
@@ -623,16 +703,12 @@ class NeuPimsDevice:
         :meth:`prepare_class_plan` on ``table.batch`` (its seq_lens kept
         relative to the table's offset), but paid per delta.
 
-        Members placed nowhere yet are placed first, exactly as
-        :meth:`prepare_class_plan` would, and the table rebuilt.  The
-        split continues from the last plan of the same table generation
-        (`_apply`).  The sub-batch basis stages step to the table's
-        offset in closed form (`_advance`), follow the deltas by exact
-        add/subtract and are installed as the window's bases, while
+        Unplaced members are placed first, as there, and the table
+        rebuilt.  The split and its basis stages follow the table's
+        deltas from the last plan of the same generation (`_apply`) while
         `_exact_sums` holds, no counter model is attached and the batch
-        is at most `EXACT_BATCH`; otherwise the split is rebuilt (the
-        same add path) on every plan and the window's canonical passes
-        supply the bases.
+        is at most `EXACT_BATCH`; otherwise every plan re-splits the
+        batch and the window's canonical passes supply the bases.
         """
         batch = table.batch
         if not batch:
@@ -640,124 +716,95 @@ class NeuPimsDevice:
         if table.unplaced or table.channel_bound > self.channel_pool:
             self._ensure_assigned(batch)
             table.rebuild()
-        live, dirty = self._live, table.dirty
-        table.dirty = set()
-        if live is None or live.table is not table \
+        live, deltas = self._live, table.deltas
+        table.deltas = []
+        if deltas is None or live is None or live.table is not table \
                 or live.generation != table.generation \
                 or not (self._exact_sums and self.counter_model is None
                         and len(batch) <= EXACT_BATCH):
-            live = self._live = _LiveSplit(table, self.channel_pool)
-            dirty |= table.occupied()
-        elif dirty:
-            window = self._bases if self._bases[0] is live.plan else None
-            for half in (0, 1):
-                basis = window and window[half + 1]
-                if basis is not None and basis is not live.installed[half]:
-                    # A canonical pass of the window: adopt it.
-                    start, stage, (counts, _, _, residues) = basis
-                    live.bases[half] = [start, stage]
-                    live.profiles[half] = (dict(counts), dict(residues))
-                basis = live.bases[half]
-                if basis is None:
-                    continue
-                start, stage = basis
-                if stage is None:
-                    live.sums[half] = [{}, 0.0, 0.0, 0.0]
-                else:  # deltas apply at the table's offset
-                    counts, residues = live.profiles[half]
-                    sums = self._advance(
-                        start, stage, (counts, *live.spans[half], residues),
-                        table.offset)
-                    if sums is None:
-                        live.forget(half)
-                        continue
-                    load, *totals = sums
-                    loads = stage.loads
-                    live.sums[half] = [{channel: loads[channel] + load * count
-                                        for channel, count in counts.items()},
-                                       *totals]
-        if dirty:
-            self._apply(live, dirty)
+            live = self._live = _LiveSplit(
+                table, self.channel_pool, self.config.sub_batch_interleaving)
+            return self._install(live, len(batch))
+        window = self._bases if self._bases[0] is live.plan else None
+        for half in (0, 1):
+            basis = window and window[half + 1]
+            if basis is not None and basis is not live.bases[half]:
+                # A canonical pass: adopt it (a row files under its seq_len).
+                residues = [0] * _PERIODS[-1]
+                for seq_len, count in basis[2][3]:
+                    residues[seq_len % _PERIODS[-1]] += count
+                live.bases[half] = basis
+                live.profiles[half] = (dict(basis[2][0]), residues)
+        if deltas:
+            self._apply(live, deltas)
         return self._install(live, len(batch))
 
-    def _apply(self, live: _LiveSplit, dirty: Set[int]) -> None:
-        """Bring ``live``'s split up to its table (Algorithm 3).
-
-        A dirty channel's two halves are restated; any other channel
-        whose half moved (``turn`` carries across channels, so a parity
-        flip moves one member in every later odd-sized channel) moves
-        that one member.  When every occupied channel is dirty, the
-        id-ordered batch is bucketed once instead of asking the table, and
-        a sub-batch without a basis is restated whole.
-        """
-        table, lens, sizes = live.table, live.lens, live.members
-        whole = dirty.issuperset(table.occupied())
-        if whole:
-            for channel in dirty:
-                lens[channel] = []
-            for request in table.batch:
-                lens[request.channel or 0].append(
-                    request.input_len + request.generated - table.offset)
-        else:
-            for channel in dirty:
-                lens[channel] = table.lens(channel)
-        for channel in dirty:
-            sizes[channel] = len(lens[channel])
-        halves = (sub_batch_halves(sizes)
-                  if self.config.sub_batch_interleaving else sizes)
-        was_halves, live.halves = live.halves, halves
-        parts = [[(channel, lens[channel][:half]) for channel, half
-                  in enumerate(halves) if channel in dirty],
-                 [(channel, lens[channel][half:]) for channel, half
-                  in enumerate(halves) if channel in dirty]]
-        contrib = self._class_contrib
-        for index in (0, 1):
-            if whole and live.profiles[index] is None:
-                # Nothing to keep up: the sub-batch is restated at once.
-                live.hist[index][:] = _class_histogram(parts[index])
-                live.sizes[index] = sum(len(part) for _, part in parts[index])
-                live.changed[index] = True
+    def _apply(self, live: _LiveSplit, deltas: List[Tuple[int, ...]]
+               ) -> None:
+        """Step ``live``'s known bases to the table's offset, then apply
+        the table's ``deltas`` to its split: spares relabelled once, then
+        each join or leave (Algorithm 3)."""
+        offset = live.table.offset
+        for half, basis in enumerate(live.bases):
+            if basis is None:
+                continue
+            start, stage, profile = basis
+            sums = stage and self._advance(start, stage, profile, offset)
+            if stage is None:
+                live.sums[half] = [{}, 0.0, 0.0, 0.0]
+            elif sums is None:
+                live.forget(half)
             else:
-                for channel, part in parts[index]:
-                    live.restate(index, channel, part, contrib)
-        for channel, (half, was) in enumerate(zip(halves, was_halves)):
-            if half != was and channel not in dirty:
-                moved = lens[channel][min(was, half)]
-                live.change(half > was, channel, moved, -1, contrib)
-                live.change(half < was, channel, moved, 1, contrib)
+                load, *totals = sums
+                loads = stage.loads
+                live.sums[half] = [{channel: loads[channel] + load * count
+                                    for channel, count in profile[0].items()},
+                                   *totals]
+        contrib = self._class_contrib
+        if _RESPLIT * len(deltas) > len(live.table.batch):
+            return live.restate(contrib)
+        steps: Dict[int, int] = {}
+        for channel, _, _, step in deltas:
+            steps[channel] = steps.get(channel, 0) + step
+        if live.split and any(step % 2 for step in steps.values()):
+            live.relabel(steps, contrib)
+        for channel, rid, relative, step in deltas:
+            live.delta(channel, rid, relative, step, contrib)
 
     def _install(self, live: _LiveSplit, size: int) -> DeviceClassPlan:
         """``live``'s plan at its table's offset, with its known bases
-        installed for the window."""
-        offset, period = live.table.offset, self._residue_period()
+        installed for the window (a sub-batch the plan did not change
+        keeps its basis)."""
+        offset = live.table.offset
         bases: list = [None, None, None]
         for half in (0, 1):
+            sums = live.sums[half]
             if live.changed[half]:
                 live.changed[half] = False
-                if live.sizes[half]:
-                    lens = list(map(itemgetter(1), live.hist[half]))
-                    live.spans[half] = min(lens), max(lens)
-                sums = live.sums[half]
                 if sums is None or not self._exact_sums:
                     live.forget(half)
+                elif not live.sizes[half]:
+                    live.bases[half] = [offset, None, None]
                 else:
-                    live.bases[half] = [offset, self._stage(*sums)
-                                        if live.sizes[half] else None]
+                    if live.spans[half] is None:
+                        lens = list(map(itemgetter(1), live.hist[half]))
+                        live.spans[half] = min(lens), max(lens)
+                    counts, residues = live.profiles[half]
+                    live.bases[half] = [offset, self._stage(*sums),
+                                        _basis_profile(
+                                            dict(counts), *live.spans[half],
+                                            residues, self._residue_period(),
+                                            live.sizes[half])]
             live.sums[half] = None
             basis = live.bases[half]
             if basis is not None and basis[1] is not None:
-                counts, residues = live.profiles[half]
-                grouped: Dict[int, int] = {}
-                for residue, count in residues.items():
-                    _bump(grouped, residue % period, count)
-                bases[half + 1] = [*basis, (dict(counts), *live.spans[half],
-                                            grouped)]
+                bases[half + 1] = basis
         (size1, size2), (hist, split) = live.sizes, map(tuple, live.hist)
         plan = (DeviceClassPlan(size, hist, None, offset) if size1 == size
                 else DeviceClassPlan(size, None, ((size1, hist),
                                                   (size2, split)), offset))
         bases[0] = live.plan = plan
-        self._bases, live.installed = bases, bases[1:]
+        self._bases = bases
         return plan
 
     def iteration(self, requests: Sequence[InferenceRequest]) -> IterationResult:
@@ -903,14 +950,12 @@ class NeuPimsDevice:
         of its two sub-batch loads, the canonical pass's bit for bit under
         `_exact_sums` (no third pass over the merged histogram).
 
-        Every channel is summed on the first step of a pair of bases; the
-        channels not dominated in (load, members) are kept for the later
-        steps.  That is exact: under the guard, both sub-batches' loads
-        step by the guard's load step per token and every sum is exact,
-        so from one step to a later one a channel's load grows by that
-        step times its members.  The kept channels are valid only for
-        later shifts of the same bases, and only when the step is not
-        negative."""
+        The first step of a pair of bases sums every channel into
+        ``(load, members)`` and keeps those no other dominates in both.
+        Exact: under the guard both loads step by its load step per token
+        and every sum is exact, so a later step adds ``load1``'s growth
+        times the members (for later shifts of the same bases, and a
+        step that is not negative)."""
         _, basis1, basis2 = self._bases
         top = self._tops[2]
         if top is None or top[0] is not basis1 or top[1] is not basis2 \
@@ -920,20 +965,18 @@ class NeuPimsDevice:
             loads1, loads2 = stage1.loads, stage2.loads
             rows = []
             for channel in counts1.keys() | counts2.keys():
-                value1, members1 = (loads1.get(channel, 0.0),
-                                    counts1.get(channel, 0))
-                value2, members2 = (loads2.get(channel, 0.0),
-                                    counts2.get(channel, 0))
-                rows.append(((value1 + load1 * members1)
-                             + (value2 + load2 * members2),
-                             members1 + members2,
-                             value1, members1, value2, members2))
+                members1 = counts1.get(channel, 0)
+                members2 = counts2.get(channel, 0)
+                rows.append(((loads1.get(channel, 0.0) + load1 * members1)
+                             + (loads2.get(channel, 0.0) + load2 * members2),
+                             members1 + members2))
             steps = self._affine_steps
             if steps is not None and steps[1] >= 0:
-                self._tops[2] = (basis1, basis2, shift, _frontier(rows))
+                self._tops[2] = (basis1, basis2, shift, load1,
+                                 _frontier(rows))
             return max(rows)[0]
-        return max([(value1 + load1 * members1) + (value2 + load2 * members2)
-                    for _, _, value1, members1, value2, members2 in top[3]])
+        step = load1 - top[3]
+        return max([value + step * members for value, members in top[4]])
 
     # ------------------------------------------------------------------
 

@@ -168,27 +168,28 @@ class ClassTable:
     """The running batch's class structure, kept live across windows.
 
     The scheduler owns one table and attaches it to its request pool,
-    whose :meth:`~repro.serving.pool.RequestPool.transition`, ``submit``
-    and ``evict`` are the only ways into and out of ``RUNNING``: each
-    calls :meth:`join` or :meth:`leave`, so a boundary costs the table
+    whose :meth:`~repro.serving.pool.RequestPool.transition` and
+    ``evict`` move requests into and out of ``RUNNING``: each calls
+    :meth:`join` or :meth:`leave`, so a boundary costs the table
     its delta (admitted, retired, timed out, retried, extracted), not the
     batch.  Members are filed by class ``(channel, relative seq_len,
     finish offset)``: seq_lens are kept *relative to* ``offset`` (the
     tokens every member has generated since the table was reset), so a
     window's uniform shift moves no entry, and a class finishes when
     ``offset`` reaches its finish offset.  The classes are indexed by
-    channel, by the offset residue of their KV block boundary and by
-    finish offset; ``dirty`` holds the channels changed since the device
-    last planned the table (see
-    :meth:`repro.core.device.NeuPimsDevice.table_plan`).
+    the offset residue of their KV block boundary and by finish offset;
+    ``deltas`` lists the joins and leaves, ``(channel, id, relative
+    seq_len, ±1)``, for :meth:`repro.core.device.NeuPimsDevice.table_plan`.
 
     A ``stale`` table is detached from its pool and ignores deltas, and
     :meth:`open` rebuilds it (:meth:`rebuild`: a reset, then the add
     path for every member): at first use, after a per-request iteration
-    (which advances members outside the table; see :meth:`invalidate`)
-    and after the whole batch finished.  While a window runs, member
-    objects are **not** touched; :meth:`sync` writes the deferred
-    effects back in one pass when it closes.
+    (which advances members outside the table; see :meth:`invalidate`),
+    after the whole batch finished, and when the batch's size is not the
+    table's (a request submitted already ``RUNNING`` joins no table; it
+    only adds members, so a missed join changes the count).  While a
+    window runs, member objects are **not** touched; :meth:`sync` writes
+    the deferred effects back in one pass when it closes.
     """
 
     def __init__(self, pool: Optional["RequestPool"] = None,
@@ -217,13 +218,13 @@ class ClassTable:
         self.channel_bound = 0
         #: (channel, relative seq_len, finish offset) -> {id: request}
         self.classes: Dict[ClassKey, Dict[int, InferenceRequest]] = {}
-        self.dirty: Set[int] = set()
+        #: joins and leaves since the device planned it (None before)
+        self.deltas: Optional[List[Tuple[int, int, int, int]]] = None
         self._size = 0
-        # channel -> its classes; (block_tokens, -relative seq_len mod
-        # block_tokens) -> classes whose context sits on a block boundary
-        # at offsets of that residue; finish offset -> classes, with a
-        # heap of the offsets (dropped from it lazily once empty).
-        self._by_channel: Dict[int, Set[ClassKey]] = {}
+        # (block_tokens, -relative seq_len mod block_tokens) -> classes
+        # whose context sits on a block boundary at offsets of that
+        # residue; finish offset -> classes, with a heap of the offsets
+        # (dropped from it lazily once empty).
         self._crossings: Dict[Tuple[int, int], Set[ClassKey]] = {}
         self._finishing: Dict[int, Set[ClassKey]] = {}
         self._finish_heap: List[int] = []
@@ -231,31 +232,21 @@ class ClassTable:
     def __len__(self) -> int:
         return self._size
 
-    def occupied(self):
-        """The channels with members (a live view)."""
-        return self._by_channel.keys()
-
-    def lens(self, channel: int) -> List[int]:
-        """The relative seq_lens of ``channel``'s members in id order:
-        the order Algorithm 3 splits a channel in (a retry re-admitted at
-        its old id sits mid-list)."""
-        classes = self.classes
-        return [relative for _, relative in sorted(
-            [(rid, key[1]) for key in self._by_channel.get(channel, ())
-             for rid in classes[key]])]
-
     # -- deltas ---------------------------------------------------------
 
     def join(self, request: InferenceRequest) -> None:
         """File a request that entered ``RUNNING``."""
         if not self.stale:
             self._add((request,))
-            self.dirty.add(request.channel or 0)
+            if self.deltas is not None:
+                self.deltas.append((request.channel or 0, request.request_id,
+                                    request.input_len + request.generated
+                                    - self.offset, 1))
 
     def _add(self, requests: Sequence[InferenceRequest]) -> None:
         """File ``requests`` (the one add path: joins and rebuilds; a
         rebuild starts a new generation, which the device re-splits
-        whole, so only a join marks its channel dirty)."""
+        whole, so only a join records a delta)."""
         offset = self.offset
         classes = self.classes
         for request in requests:
@@ -276,24 +267,27 @@ class ClassTable:
     def leave(self, request: InferenceRequest) -> None:
         """Drop a request that left ``RUNNING``.  Between boundaries only
         :meth:`sync` moves a member's fields, and it moves ``offset``
-        with them, so the class computed here is the one it joined."""
+        with them, so the class computed here is the one it joined (one
+        submitted already ``RUNNING`` never did: the table goes stale)."""
         if self.stale:
             return
         generated, offset = request.generated, self.offset
         key = (request.channel or 0, request.input_len + generated - offset,
                offset + request.output_len - generated)
-        members = self.classes[key]
-        del members[request.request_id]
+        members = self.classes.get(key, {})
+        if members.pop(request.request_id, None) is None:
+            return self.invalidate()
         if not members:
             del self.classes[key]
             self._file(key, False)
         self._size -= 1
-        self.dirty.add(key[0])
+        if self.deltas is not None:
+            self.deltas.append((key[0], request.request_id, key[1], -1))
 
     def _file(self, key: ClassKey, add: bool = True) -> None:
         """Enter (or remove) a class in the indexes."""
         channel, relative, finish = key
-        slots = [(self._by_channel, channel), (self._finishing, finish)]
+        slots = [(self._finishing, finish)]
         sizes = self._block_tokens
         if sizes is not None and channel < len(sizes):
             size = sizes[channel]
@@ -322,6 +316,8 @@ class ClassTable:
             self.stale = False
             if self._pool is not None:
                 self._pool.table = self
+            self.rebuild()
+        elif len(batch) != self._size:
             self.rebuild()
 
     def invalidate(self) -> None:
@@ -420,9 +416,11 @@ class ClassTable:
                 self.invalidate()
             else:
                 for key in list(done):
-                    del classes[key]
+                    members = classes.pop(key)
+                    if self.deltas is not None:
+                        self.deltas.extend([(key[0], rid, key[1], -1)
+                                            for rid in members])
                     self._file(key, False)
-                    self.dirty.add(key[0])
                 self._size -= len(finishing)
             attached, pool.table = pool.table, None
             for request in finishing:

@@ -47,8 +47,9 @@ class RequestPool:
         #: before it left from the head without dropping the view)
         self._waiting_head = 0
         #: The live class table of the RUNNING bucket, while one is
-        #: attached: every move into or out of RUNNING (submit,
-        #: transition, evict) joins or leaves it.
+        #: attached: every transition into or out of RUNNING and every
+        #: eviction joins or leaves it (a request submitted already
+        #: RUNNING is caught by the table's size check when it opens).
         self.table: Optional[ClassTable] = None
 
     # ------------------------------------------------------------------
@@ -101,8 +102,6 @@ class RequestPool:
         self._requests[request.request_id] = request
         self._buckets[request.status][request.request_id] = request
         self._sorted[request.status] = None
-        if self.table is not None and request.status is RUNNING:
-            self.table.join(request)
 
     def submit_all(self, requests: Iterable[InferenceRequest]) -> None:
         """Add several requests to the pool."""

@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 
 from repro.api import ScenarioSpec, ServingSpec, Session, TrafficSpec
 from repro.core.config import NeuPimsConfig
-from repro.core.device import (NeuPimsDevice, interleave_timeline,
-                               shard_for_mha)
+from repro.core.device import (NeuPimsDevice, _LiveSplit,
+                               interleave_timeline, shard_for_mha)
 from repro.core.estimator import MhaLatencyEstimator, analytic_latencies
 from repro.core.partition import partition_batch
 from repro.model.spec import GPT3_7B, MODEL_REGISTRY
 from repro.perf import Memo
-from repro.serving.grouping import merge_histograms, mha_histogram
+from repro.serving.grouping import (ClassTable, merge_histograms,
+                                    mha_histogram, shift_histogram)
+from repro.serving.pool import RequestPool
+from repro.serving.request import InferenceRequest, RequestStatus
 from repro.serving.trace import SHAREGPT, warmed_batch
 from repro.sim.engine import Resource
 
@@ -557,6 +560,70 @@ class TestFrontier:
         assert argmax == {0, 1}
         assert device._affine_steps[1] < 0
         assert len(passes) == (1 if plan.split is None else 2)
+
+
+class TestBoundaryCost:
+    """A live class table's boundary pays for its delta: with 32 odd
+    channels, a parity flip on channel 0 relabels the spare of each of
+    the 31 later channels (one move each) and runs the per-member update
+    on channel 0 only."""
+
+    def test_parity_flip_relabels_later_spares(self, monkeypatch):
+        device = NeuPimsDevice(GPT3_7B, NeuPimsConfig(), layers_resident=2,
+                               channel_pool=32)
+        reference = NeuPimsDevice(GPT3_7B, NeuPimsConfig(),
+                                  layers_resident=2, channel_pool=32)
+        pool = RequestPool()
+        table = ClassTable(pool)
+        table.open([])
+
+        def join(request_id, channel):
+            request = InferenceRequest(request_id, 20 + request_id, 50,
+                                       channel=channel)
+            pool.submit(request)
+            pool.transition(request, RequestStatus.RUNNING)
+
+        def plan():
+            batch = pool.running()
+            table.open(batch)
+            plan = device.table_plan(table)
+            expected = reference.prepare_class_plan(list(batch))
+            assert [(size, shift_histogram(hist, plan.offset))
+                    for size, hist in plan.split] == list(expected.split)
+            for (_, hist), basis in zip(plan.split, device._bases[1:]):
+                if basis is not None:
+                    assert basis[1] == reference.mha_stage_classes(
+                        shift_histogram(hist, basis[0]))
+            device.iteration_from_plan(plan, 0)  # canonical bases
+            return plan
+
+        for request_id in range(96):
+            join(request_id, request_id // 3)
+        plan()
+        plan()  # no deltas: the canonical bases are adopted
+        assert all(device._live.profiles)
+        changed, moved = [], []
+        change, move = _LiveSplit.change, _LiveSplit.move
+
+        def counted_change(live, half, channel, *rest):
+            changed.append(channel)
+            return change(live, half, channel, *rest)
+
+        def counted_move(live, channel, relative, was, now, contrib):
+            if was != now:
+                moved.append(channel)
+            return move(live, channel, relative, was, now, contrib)
+        monkeypatch.setattr(_LiveSplit, "change", counted_change)
+        monkeypatch.setattr(_LiveSplit, "move", counted_move)
+        join(96, 0)  # channel 0: 3 -> 4 members, after the others
+        plan()
+        assert changed == [0]
+        assert moved == list(range(1, 32))
+        del changed[:], moved[:]
+        pool.evict(1)  # channel 0: 4 -> 3, mid-list
+        plan()
+        assert changed == [0]
+        assert moved == list(range(1, 32)) + [0]  # relabels, then the delta
 
 
 class TestShardForMha:

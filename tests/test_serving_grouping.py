@@ -10,6 +10,7 @@ behavior of the grouping primitives themselves.
 
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.api import ScenarioSpec, ServingSpec, Session, TrafficSpec
 from repro.api.bench import bucketed_replay_triples, serving_bench_spec
+from repro.core import device as device_module
 from repro.core.config import NeuPimsConfig
 from repro.core.device import NeuPimsDevice
 from repro.model.spec import GPT3_7B
@@ -384,9 +386,6 @@ def _table_view(table):
     return {
         "classes": {absolute(key): sorted(members)
                     for key, members in table.classes.items()},
-        "channels": {channel: [relative + offset
-                               for relative in table.lens(channel)]
-                     for channel in table.occupied()},
         "crossings": {(size, (residue - offset) % size):
                       sorted(map(absolute, keys))
                       for (size, residue), keys in table._crossings.items()},
@@ -407,9 +406,10 @@ class TestLiveClassTable:
 
     CHANNELS = 4
     BLOCK_TOKENS = (4, 4, 8, 16)
-    #: Channel 0 often, so parity flips there move a member in every
-    #: later odd-sized channel (Algorithm 3's ``turn``).
-    _channel = st.sampled_from([0, 0, 0, 1, 2, 3])
+    #: Channel 0 about half the time (taken modulo the channel pool), so
+    #: parity flips there relabel the spare of every later odd-sized
+    #: channel (Algorithm 3's ``turn``): up to 31 at 32 channels.
+    _channel = st.one_of(st.just(0), st.integers(1, 31))
     _admit = st.tuples(st.just("admit"), _channel, st.integers(1, 40),
                        st.integers(1, 12))
     _op = st.one_of(
@@ -469,12 +469,31 @@ class TestLiveClassTable:
                                self.BLOCK_TOKENS[request.channel])
         pool.retire_finished()
 
+    _configs = st.sampled_from([NeuPimsConfig(),
+                                NeuPimsConfig(sub_batch_interleaving=False),
+                                NeuPimsConfig(dual_row_buffer=False)])
+
+    #: Deltas per re-split: 0 applies every delta one by one, the
+    #: default re-splits a wave whole, a large one re-splits on any delta.
+    _resplits = st.sampled_from([0, device_module._RESPLIT, 10 ** 6])
+
     @settings(deadline=None)
-    @given(config=st.sampled_from([NeuPimsConfig(),
-                                   NeuPimsConfig(sub_batch_interleaving=False),
-                                   NeuPimsConfig(dual_row_buffer=False)]),
-           ops=st.lists(_op, min_size=10, max_size=80))
-    def test_matches_rebuilt_table(self, config, ops):
+    @given(config=_configs, ops=st.lists(_op, min_size=10, max_size=80),
+           resplit=_resplits)
+    def test_matches_rebuilt_table(self, config, ops, resplit):
+        with mock.patch.object(device_module, "_RESPLIT", resplit):
+            self._run(config, ops)
+
+    @settings(deadline=None)
+    @given(config=_configs, ops=st.lists(_op, min_size=10, max_size=80),
+           resplit=_resplits)
+    def test_matches_rebuilt_table_at_32_channels(self, config, ops,
+                                                  resplit):
+        self.CHANNELS, self.BLOCK_TOKENS = 32, (4, 4, 8, 16) * 8
+        with mock.patch.object(device_module, "_RESPLIT", resplit):
+            self._run(config, ops)
+
+    def _run(self, config, ops):
         device = NeuPimsDevice(GPT3_7B, config, layers_resident=2,
                                channel_pool=self.CHANNELS)
         allocators = [_Blocks(size) for size in self.BLOCK_TOKENS]
@@ -497,7 +516,7 @@ class TestLiveClassTable:
                 request = InferenceRequest(next_id, input_len, output_len)
                 next_id += 1
                 pool.submit(request)
-                admit(request, channel)
+                admit(request, channel % self.CHANNELS)
             elif op[0] == "window":
                 self._window(pool, table, device, allocators, op[1])
             elif op[0] == "readmit" and waiting:
@@ -513,3 +532,39 @@ class TestLiveClassTable:
                 if op[0] == "failover":
                     request.channel = None
         self._window(pool, table, device, allocators, 1)
+
+    def test_running_submit_rebuilds_at_open(self):
+        """A request submitted already RUNNING (a warmed batch) joins no
+        table: the next open sees the count differ and rebuilds, and the
+        device plans the rebuilt table like the batch."""
+        device = NeuPimsDevice(GPT3_7B, NeuPimsConfig(), layers_resident=2,
+                               channel_pool=self.CHANNELS)
+        allocators = [_Blocks(size) for size in self.BLOCK_TOKENS]
+        pool = RequestPool()
+        table = ClassTable(pool, allocators)
+        table.open([])
+
+        def place(request_id, channel, status):
+            request = InferenceRequest(request_id, 5 + 3 * request_id, 20,
+                                       status=status, channel=channel)
+            allocators[channel].ledger[request_id] = _blocks_for(
+                request.seq_len, self.BLOCK_TOKENS[channel])
+            pool.submit(request)
+            return request
+
+        for request_id in range(5):
+            pool.transition(place(request_id, request_id % 2,
+                                  RequestStatus.WAITING),
+                            RequestStatus.RUNNING)
+        self._window(pool, table, device, allocators, 3)  # offset 3
+        place(5, 0, RequestStatus.RUNNING)  # joins no table
+        assert len(table) == 5 and len(pool.running()) == 6
+        table.open(pool.running())
+        assert len(table) == 6
+        self._check_boundary(table, device, pool.running())
+        self._window(pool, table, device, allocators, 2)
+        # One that leaves again before the next open: the table goes stale.
+        place(6, 1, RequestStatus.RUNNING)
+        pool.evict(6)
+        assert table.stale and pool.table is None
+        self._window(pool, table, device, allocators, 2)
