@@ -404,8 +404,8 @@ class TestLiveClassTable:
     ``prepare_class_plan``) and its basis stages (against canonical MHA
     passes), and every window step (against a fresh device)."""
 
-    CHANNELS = 4
-    BLOCK_TOKENS = (4, 4, 8, 16)
+    #: Block size per channel, for pools of up to 32 channels.
+    BLOCK_TOKENS = (4, 4, 8, 16) * 8
     #: Channel 0 about half the time (taken modulo the channel pool), so
     #: parity flips there relabel the spare of every later odd-sized
     #: channel (Algorithm 3's ``turn``): up to 31 at 32 channels.
@@ -425,7 +425,7 @@ class TestLiveClassTable:
         assert _table_view(table) == _table_view(fresh)
         plan = device.table_plan(table)
         reference = NeuPimsDevice(GPT3_7B, device.config, layers_resident=2,
-                                  channel_pool=self.CHANNELS)
+                                  channel_pool=device.channel_pool)
         expected = reference.prepare_class_plan(list(batch))
         hists = ([plan.hist] if plan.split is None
                  else [hist for _, hist in plan.split])
@@ -468,40 +468,32 @@ class TestLiveClassTable:
                 == _blocks_for(request.seq_len,
                                self.BLOCK_TOKENS[request.channel])
         pool.retire_finished()
-
-    _configs = st.sampled_from([NeuPimsConfig(),
-                                NeuPimsConfig(sub_batch_interleaving=False),
-                                NeuPimsConfig(dual_row_buffer=False)])
-
-    #: Deltas per re-split: 0 applies every delta one by one, the
-    #: default re-splits a wave whole, a large one re-splits on any delta.
-    _resplits = st.sampled_from([0, device_module._RESPLIT, 10 ** 6])
+        # Only a window that finishes its whole batch detaches the table.
+        assert table.stale == (not pool.running())
 
     @settings(deadline=None)
-    @given(config=_configs, ops=st.lists(_op, min_size=10, max_size=80),
-           resplit=_resplits)
-    def test_matches_rebuilt_table(self, config, ops, resplit):
+    @given(channels=st.sampled_from([4, 32]),
+           config=st.sampled_from([NeuPimsConfig(),
+                                   NeuPimsConfig(sub_batch_interleaving=False),
+                                   NeuPimsConfig(dual_row_buffer=False)]),
+           ops=st.lists(_op, min_size=10, max_size=80),
+           resplit=st.sampled_from([0, device_module._RESPLIT, 10 ** 6]))
+    def test_matches_rebuilt_table(self, channels, config, ops, resplit):
+        # _RESPLIT 0 applies every delta one by one, the default re-splits
+        # a wave whole, a large one re-splits on any delta.
         with mock.patch.object(device_module, "_RESPLIT", resplit):
-            self._run(config, ops)
+            self._run(channels, config, ops)
 
-    @settings(deadline=None)
-    @given(config=_configs, ops=st.lists(_op, min_size=10, max_size=80),
-           resplit=_resplits)
-    def test_matches_rebuilt_table_at_32_channels(self, config, ops,
-                                                  resplit):
-        self.CHANNELS, self.BLOCK_TOKENS = 32, (4, 4, 8, 16) * 8
-        with mock.patch.object(device_module, "_RESPLIT", resplit):
-            self._run(config, ops)
-
-    def _run(self, config, ops):
+    def _run(self, channels, config, ops):
         device = NeuPimsDevice(GPT3_7B, config, layers_resident=2,
-                               channel_pool=self.CHANNELS)
+                               channel_pool=channels)
         allocators = [_Blocks(size) for size in self.BLOCK_TOKENS]
         pool = RequestPool()
         table = ClassTable(pool, allocators)
         table.open([])  # attach: every later delta reaches the table
         waiting = []  # retried or extracted, to be re-admitted
         next_id = 0
+        drained = False  # stale until a window opens the table again
 
         def admit(request, channel):
             request.channel = channel
@@ -516,13 +508,14 @@ class TestLiveClassTable:
                 request = InferenceRequest(next_id, input_len, output_len)
                 next_id += 1
                 pool.submit(request)
-                admit(request, channel % self.CHANNELS)
+                admit(request, channel % channels)
             elif op[0] == "window":
                 self._window(pool, table, device, allocators, op[1])
+                drained = table.stale
             elif op[0] == "readmit" and waiting:
                 request = waiting.pop(op[1] % len(waiting))
                 pool.submit(request)  # its old, lower id: mid-list
-                admit(request, op[1] % self.CHANNELS)
+                admit(request, op[1] % channels)
             elif op[0] != "readmit" and running:
                 request = running[op[1] % len(running)]
                 pool.evict(request.request_id)
@@ -531,6 +524,7 @@ class TestLiveClassTable:
                     waiting.append(request)
                 if op[0] == "failover":
                     request.channel = None
+            assert table.stale == drained  # every join and leave was found
         self._window(pool, table, device, allocators, 1)
 
     def test_running_submit_rebuilds_at_open(self):
@@ -538,7 +532,7 @@ class TestLiveClassTable:
         table: the next open sees the count differ and rebuilds, and the
         device plans the rebuilt table like the batch."""
         device = NeuPimsDevice(GPT3_7B, NeuPimsConfig(), layers_resident=2,
-                               channel_pool=self.CHANNELS)
+                               channel_pool=4)
         allocators = [_Blocks(size) for size in self.BLOCK_TOKENS]
         pool = RequestPool()
         table = ClassTable(pool, allocators)
